@@ -24,7 +24,7 @@ from gradflip.tensor import ParamStore
 
 __all__ = [
     "RepDump", "EvalResult", "dump_reps", "train_probe", "edit_distance",
-    "evaluate_ler", "evaluate_wer", "figure2_report", "write_probe_csv",
+    "evaluate", "evaluate_ler", "evaluate_wer", "figure2_report", "write_probe_csv",
     "write_eval_csv", "PROBE_CSV_HEADER", "EVAL_CSV_HEADER",
 ]
 
@@ -178,25 +178,6 @@ def _decode(m: ModelGraph, features: np.ndarray) -> tuple[int, ...]:
     return asg.collapse(asg.viterbi_decode(em.data, m.transitions.data))
 
 
-def evaluate_ler(checkpoint, dataset: Dataset) -> EvalResult:
-    """Letter error rate: edit distance of collapsed Viterbi paths against
-    transcripts, normalized by total reference length. Untranscribed
-    utterances are skipped and counted."""
-    m = _as_model(checkpoint)
-    errors = total = skipped = scored = 0
-    for u in dataset.utterances:
-        if u.transcript is None:
-            skipped += 1
-            continue
-        hyp = _decode(m, u.features)
-        errors += edit_distance(hyp, u.transcript)
-        total += len(u.transcript)
-        scored += 1
-    if total == 0:
-        raise ValueError("dataset has no transcribed utterances to score")
-    return EvalResult(errors / total, scored, skipped)
-
-
 def _words(tokens, separator: int) -> list[tuple[int, ...]]:
     words, cur = [], []
     for t in tokens:
@@ -211,26 +192,53 @@ def _words(tokens, separator: int) -> list[tuple[int, ...]]:
     return words
 
 
+def _letter_errors(hyp, ref, separator: int) -> tuple[int, int]:
+    return edit_distance(hyp, ref), len(ref)
+
+
+def _word_errors(hyp, ref, separator: int) -> tuple[int, int]:
+    ref_words = _words(ref, separator)
+    return edit_distance(_words(hyp, separator), ref_words), len(ref_words)
+
+
+ERROR_RATES = {"ler": _letter_errors, "wer": _word_errors}
+
+
+def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[str, EvalResult]:
+    """Error rates of the named metrics ("ler", "wer"), each utterance
+    Viterbi-decoded once and scored by every metric. Untranscribed
+    utterances are skipped and counted."""
+    m = _as_model(checkpoint)
+    errors = dict.fromkeys(metrics, 0)
+    totals = dict.fromkeys(metrics, 0)
+    skipped = scored = 0
+    for u in dataset.utterances:
+        if u.transcript is None:
+            skipped += 1
+            continue
+        hyp = _decode(m, u.features)
+        for name in metrics:
+            err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
+            errors[name] += err
+            totals[name] += n
+        scored += 1
+    if any(n == 0 for n in totals.values()):
+        raise ValueError("dataset has no transcribed utterances to score")
+    return {name: EvalResult(errors[name] / totals[name], scored, skipped) for name in metrics}
+
+
+def evaluate_ler(checkpoint, dataset: Dataset) -> EvalResult:
+    """Letter error rate: edit distance of collapsed Viterbi paths against
+    transcripts, normalized by total reference length."""
+    return evaluate(checkpoint, dataset, ("ler",))["ler"]
+
+
 def evaluate_wer(checkpoint, dataset: Dataset) -> EvalResult:
     """Word error rate from Viterbi output split at the separator token.
 
     No language model is involved; this is the LM-free variant.
     """
-    m = _as_model(checkpoint)
-    sep = dataset.separator
-    errors = total = skipped = scored = 0
-    for u in dataset.utterances:
-        if u.transcript is None:
-            skipped += 1
-            continue
-        hyp_words = _words(_decode(m, u.features), sep)
-        ref_words = _words(u.transcript, sep)
-        errors += edit_distance(hyp_words, ref_words)
-        total += len(ref_words)
-        scored += 1
-    if total == 0:
-        raise ValueError("dataset has no transcribed utterances to score")
-    return EvalResult(errors / total, scored, skipped)
+    return evaluate(checkpoint, dataset, ("wer",))["wer"]
 
 
 @dataclass

@@ -208,12 +208,10 @@ def cmd_eval(args, extras) -> int:
             raise ValueError(f"dataset file {path} does not exist")
         ds = gd.load_dataset(path)
         split_name = path.suffix.lstrip(".") or path.name
-        ler = analysis.evaluate_ler(m, ds)
-        wer = analysis.evaluate_wer(m, ds)
-        rows.append((split_name, "ler", ler.value, ler.n_scored))
-        rows.append((split_name, "wer", wer.value, wer.n_scored))
-        if ler.n_skipped:
-            print(f"{split_name}: skipped {ler.n_skipped} untranscribed utterances")
+        results = analysis.evaluate(m, ds)
+        rows += [(split_name, metric, r.value, r.n_scored) for metric, r in results.items()]
+        if results["ler"].n_skipped:
+            print(f"{split_name}: skipped {results['ler'].n_skipped} untranscribed utterances")
     out_path = out_dir / "eval.csv"
     analysis.write_eval_csv(rows, out_path)
     print(f"wrote {out_path}")

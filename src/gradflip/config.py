@@ -6,9 +6,12 @@ The fully resolved configuration is echoed to `<outdir>/config.resolved`
 before any work, and rerunning from that file reproduces the outputs
 byte for byte.
 
-The defaults below are the desk-scale toy preset: 5 gated-conv layers of
-16 channels over an alphabet of 6 letters plus separator, 12 speakers,
-600 training utterances.
+`SCHEMA` is the only place a preset value is written: it holds the
+desk-scale toy preset (5 gated-conv layers of 16 channels over an
+alphabet of 6 letters plus separator, 12 speakers, 600 training
+utterances). The config records it fills (`GenConfig`, `ModelConfig`,
+`TrainConfig`) have no defaults of their own, and `config.resolved`
+spells out every value a run used.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from gradflip.trainer import LambdaSchedule, TrainConfig
 
 __all__ = [
     "SCHEMA", "SEED_ENV_VAR", "load_config_file", "resolve", "format_resolved",
-    "gen_config", "model_config", "train_config", "probe_epochs",
+    "gen_config", "model_config", "train_config",
 ]
 
 SEED_ENV_VAR = "GRADFLIP_SEED"
@@ -60,15 +63,15 @@ SCHEMA: dict[str, object] = {
     "model.branch_kernel": 5,
     "train.mode": "baseline",
     "train.fork": "mid",
-    # 1.4 (the full-scale value, still the TrainConfig default) diverges at
-    # desk scale; 0.03 is the calibrated toy-preset rate
+    # 1.4 (the full-scale value) diverges at desk scale; 0.03 is the
+    # calibrated toy-preset rate
     "train.lr_main": 0.03,
     "train.lr_speaker": 0.1,
     "train.batch_size": 8,
     "train.epochs_a": 5,
     "train.epochs_b": 2,
     "train.epochs_c": 15,
-    "train.lambda_kind": "auto",  # auto: static 0.5 for mt, ramp to 0.2 for al/semi
+    "train.lambda_kind": "auto",  # auto: static lambda_value for mt, ramp to lambda_max otherwise
     "train.lambda_value": 0.5,
     "train.lambda_max": 0.2,
     "train.lambda_gamma": 10.0,
@@ -171,15 +174,12 @@ def model_config(cfg: dict[str, object], in_dim: int, vocab_size: int, n_speaker
 def train_config(cfg: dict[str, object]) -> TrainConfig:
     kind = cfg["train.lambda_kind"]
     if kind == "auto":
-        lam = None
-    elif kind == "static":
-        lam = LambdaSchedule("static", value=cfg["train.lambda_value"])
-    elif kind == "ramp":
-        lam = LambdaSchedule(
-            "ramp", lambda_max=cfg["train.lambda_max"], gamma=cfg["train.lambda_gamma"]
-        )
-    else:
+        kind = "static" if cfg["train.mode"] == "mt" else "ramp"
+    elif kind not in ("static", "ramp"):
         raise ValueError(f"train.lambda_kind must be auto/static/ramp, got {kind!r}")
+    lam = LambdaSchedule(
+        kind, cfg["train.lambda_value"], cfg["train.lambda_max"], cfg["train.lambda_gamma"]
+    )
     return TrainConfig(
         mode=cfg["train.mode"],
         fork=cfg["train.fork"],
@@ -193,7 +193,3 @@ def train_config(cfg: dict[str, object]) -> TrainConfig:
         semi_ratio=cfg["train.semi_ratio"],
         seed=cfg["seed"],
     )
-
-
-def probe_epochs(cfg: dict[str, object]) -> int:
-    return cfg["probe.epochs"]

@@ -30,33 +30,30 @@ import numpy as np
 from gradflip.rng import RngStream
 
 __all__ = [
-    "GenConfig", "Utterance", "Dataset", "MINSPK_PRESET", "MAXSPK_PRESET",
-    "feature_bases", "generate", "split", "select_subset", "partition_semi",
-    "save_dataset", "load_dataset", "datasets_equal",
+    "GenConfig", "Utterance", "Dataset",
+    "feature_bases", "generate", "split", "partition_semi",
+    "save_dataset", "load_dataset", "datasets_equal", "check_keys",
 ]
 
 FILE_VERSION = 1
-
-# budget-matched subset presets: few speakers x many utterances vs the
-# opposite, 600 utterances either way
-MINSPK_PRESET = (4, 150)
-MAXSPK_PRESET = (30, 20)
+HEADER_KEYS = ("format_version", "dim", "vocab", "speakers")
+RECORD_KEYS = ("id", "speaker", "transcript", "frames")
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_speakers: int = 12
-    utterances_per_speaker: int = 63
-    alphabet_size: int = 6  # letters, excluding the separator
-    dim: int = 8
-    frames_per_token: tuple[int, int] = (2, 4)
-    noise_sigma: float = 0.3
-    words_per_utterance: tuple[int, int] = (2, 3)
-    letters_per_word: tuple[int, int] = (2, 4)
-    semi_speakers: int = 0
-    offset_scale: float = 0.75
-    gain_range: tuple[float, float] = (0.7, 1.3)
-    seed: int = 1234
+    n_speakers: int
+    utterances_per_speaker: int
+    alphabet_size: int  # letters, excluding the separator
+    dim: int
+    frames_per_token: tuple[int, int]
+    noise_sigma: float
+    words_per_utterance: tuple[int, int]
+    letters_per_word: tuple[int, int]
+    semi_speakers: int
+    offset_scale: float
+    gain_range: tuple[float, float]
+    seed: int
 
     def __post_init__(self):
         for name in ("n_speakers", "utterances_per_speaker", "alphabet_size", "dim"):
@@ -200,20 +197,15 @@ def generate(cfg: GenConfig) -> Dataset:
     return Dataset(utterances, vocab, speakers)
 
 
-def _by_speaker(ds: Dataset) -> dict[int, list[int]]:
-    groups: dict[int, list[int]] = {}
-    for i, u in enumerate(ds.utterances):
-        groups.setdefault(u.speaker, []).append(i)
-    return groups
-
-
 def split(ds: Dataset, train_frac: float, dev_frac: float, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Speaker-stratified disjoint train/dev/test split."""
     if not (0 < train_frac < 1 and 0 < dev_frac < 1 and train_frac + dev_frac < 1):
         raise ValueError("fractions must be in (0,1) and sum below 1")
     rng = RngStream(seed, "split")
     picks: list[list[int]] = [[], [], []]
-    groups = _by_speaker(ds)
+    groups: dict[int, list[int]] = {}
+    for i, u in enumerate(ds.utterances):
+        groups.setdefault(u.speaker, []).append(i)
     for speaker in sorted(groups):
         idxs = groups[speaker]
         perm = rng.permutation(len(idxs))
@@ -231,27 +223,6 @@ def split(ds: Dataset, train_frac: float, dev_frac: float, seed: int) -> tuple[D
         utts = [ds.utterances[i] for i in sorted(part)]
         out.append(Dataset(utts, list(ds.vocab), list(ds.speakers)))
     return tuple(out)
-
-
-def select_subset(ds: Dataset, n_speakers: int, utts_per_speaker: int) -> Dataset:
-    """First n_speakers, first utts_per_speaker each; labels re-densified."""
-    groups = _by_speaker(ds)
-    have = sorted(groups)
-    if n_speakers > len(have):
-        raise ValueError(f"requested {n_speakers} speakers, dataset has {len(have)}")
-    utts: list[Utterance] = []
-    names: list[str] = []
-    for new_label, speaker in enumerate(have[:n_speakers]):
-        idxs = groups[speaker]
-        if len(idxs) < utts_per_speaker:
-            raise ValueError(
-                f"speaker {speaker} has {len(idxs)} utterances, need {utts_per_speaker}"
-            )
-        names.append(ds.speakers[speaker])
-        for i in idxs[:utts_per_speaker]:
-            u = ds.utterances[i]
-            utts.append(Utterance(u.id, new_label, u.transcript, u.features))
-    return Dataset(utts, list(ds.vocab), names)
 
 
 def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
@@ -325,8 +296,9 @@ def load_dataset(path) -> Dataset:
         header = json.loads(text[0])
     except json.JSONDecodeError as e:
         fail(1, f"bad header: {e}")
-    if header.get("format_version") != FILE_VERSION:
-        fail(1, f"unsupported format version {header.get('format_version')}")
+    check_keys(f"{path}: line 1: header", header, HEADER_KEYS)
+    if header["format_version"] != FILE_VERSION:
+        fail(1, f"unsupported format version {header['format_version']}")
     dim, vocab, speakers = header["dim"], header["vocab"], header["speakers"]
     utts = []
     for lineno, line in enumerate(text[1:], start=2):
@@ -336,6 +308,7 @@ def load_dataset(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             fail(lineno, f"bad record: {e}")
+        check_keys(f"{path}: line {lineno}: record", rec, RECORD_KEYS)
         frames = rec["frames"]
         if not frames or any(len(row) != dim for row in frames):
             fail(lineno, f"frame arity differs from header dim {dim}")
@@ -355,6 +328,18 @@ def load_dataset(path) -> Dataset:
             Utterance(rec["id"], speaker, transcript, np.asarray(frames, dtype=np.float64))
         )
     return Dataset(utts, list(vocab), list(speakers))
+
+
+def check_keys(where: str, obj, keys) -> None:
+    """Reject a decoded JSON value unless it is an object with exactly `keys`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

@@ -19,7 +19,7 @@ from gradflip.rng import RngStream
 from gradflip.tensor import Tensor, grad_scale  # re-export: grad_scale lives on the tape
 
 __all__ = [
-    "PoolingConfig", "LayerSpec", "conv1d", "glu", "weight_norm", "dropout",
+    "PoolingConfig", "conv1d", "glu", "weight_norm", "dropout",
     "pool", "grad_scale", "GatedConv", "Linear",
 ]
 
@@ -29,34 +29,14 @@ MODES = ("train", "eval")
 
 @dataclass(frozen=True)
 class PoolingConfig:
-    kind: str = "logsumexp"
-    tau: float = 1.0
+    kind: str
+    tau: float
 
     def __post_init__(self):
         if self.kind not in POOL_KINDS:
             raise ValueError(f"pooling kind must be one of {POOL_KINDS}, got {self.kind!r}")
         if self.tau <= 0:
             raise ValueError("pooling tau must be positive")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str  # gated_conv | linear
-    in_channels: int
-    out_channels: int
-    kernel_width: int = 5
-    dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gated_conv", "linear"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "gated_conv" and self.kernel_width % 2 == 0:
-            # odd widths keep same-length padding symmetric
-            raise ValueError(f"kernel_width must be odd, got {self.kernel_width}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
 
 
 def _check_mode(mode: str) -> None:
@@ -183,8 +163,16 @@ class GatedConv:
         dropout_rate: float,
         rng: RngStream,
     ):
-        spec = LayerSpec("gated_conv", in_channels, out_channels, kernel_width, dropout_rate)
-        self.spec = spec
+        if kernel_width % 2 == 0:
+            # odd widths keep same-length padding symmetric
+            raise ValueError(f"kernel_width must be odd, got {kernel_width}")
+        if not (0.0 <= dropout_rate < 1.0):
+            raise ValueError("dropout_rate must be in [0, 1)")
+        if in_channels < 1 or out_channels < 1:
+            raise ValueError("channel counts must be positive")
+        self.out_channels = out_channels
+        self.kernel_width = kernel_width
+        self.dropout_rate = dropout_rate
         v = math.sqrt(1.0 - dropout_rate) * _init_uniform(
             rng, in_channels, kernel_width, (kernel_width * in_channels, 2 * out_channels)
         )
@@ -198,8 +186,8 @@ class GatedConv:
 
     def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
         w = weight_norm(self.v, self.g)
-        h = glu(conv1d(x, w, self.b, self.spec.kernel_width))
-        return dropout(h, self.spec.dropout_rate, mode, rng)
+        h = glu(conv1d(x, w, self.b, self.kernel_width))
+        return dropout(h, self.dropout_rate, mode, rng)
 
 
 class Linear:

@@ -12,12 +12,13 @@ Encoder, decoder and the ASG transition matrix carry parameter group
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from gradflip import tensor as tz
+from gradflip.data import check_keys
 from gradflip.layers import GatedConv, Linear, PoolingConfig, grad_scale, pool
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore, Tensor
@@ -58,11 +59,11 @@ class ModelConfig:
     vocab_size: int
     n_speakers: int
     fork_layer: int
-    kernel_width: int = 5
-    dropout_rate: float = 0.25
-    pooling: PoolingConfig = field(default_factory=PoolingConfig)
-    branch_channels: int = 200
-    branch_kernel: int = 5
+    kernel_width: int
+    dropout_rate: float
+    pooling: PoolingConfig
+    branch_channels: int
+    branch_kernel: int
 
     def __post_init__(self):
         if self.n_layers < 2:
@@ -216,23 +217,11 @@ def speaker_nll(logits: Tensor, speaker: int) -> Tensor:
 # checkpoints
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["pooling"] = {"kind": cfg.pooling.kind, "tau": cfg.pooling.tau}
-    return d
-
-
-def _config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["pooling"] = PoolingConfig(**d["pooling"])
-    return ModelConfig(**d)
-
-
 def save_checkpoint(m: ModelGraph, path) -> None:
     """Single JSON document: format version, config, name -> {shape, values}."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(m.cfg),
+        "config": asdict(m.cfg),  # pooling nests as {kind, tau}
         "params": {
             name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
             for name, t, _ in m.params.items()
@@ -243,16 +232,19 @@ def save_checkpoint(m: ModelGraph, path) -> None:
 
 def load_checkpoint(path) -> ModelGraph:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {doc.get('format_version')}")
-    cfg = _config_from_dict(doc["config"])
-    m = build_model(cfg, seed=0)
+    check_keys(f"{path}: checkpoint", doc, ("format_version", "config", "params"))
+    if doc["format_version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version: {doc['format_version']}")
+    d = doc["config"]
+    check_keys(f"{path}: checkpoint config", d, [f.name for f in fields(ModelConfig)])
+    check_keys(f"{path}: checkpoint config pooling", d["pooling"], [f.name for f in fields(PoolingConfig)])
+    m = build_model(ModelConfig(**{**d, "pooling": PoolingConfig(**d["pooling"])}), seed=0)
     saved = doc["params"]
-    if sorted(saved) != m.params.names():
-        raise ValueError("checkpoint parameter names do not match the config")
+    check_keys(f"{path}: checkpoint parameter names do not match the config", saved, m.params.names())
     for name, t, _ in m.params.items():
         entry = saved[name]
+        check_keys(f"{path}: checkpoint parameter {name}", entry, ("shape", "values"))
         if tuple(entry["shape"]) != t.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
+            raise ValueError(f"{path}: checkpoint shape mismatch for {name}")
         np.copyto(t.data, np.asarray(entry["values"], dtype=np.float64).reshape(t.shape))
     return m

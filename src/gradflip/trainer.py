@@ -32,7 +32,7 @@ from gradflip.rng import RngStream
 
 __all__ = [
     "LambdaSchedule", "TrainConfig", "MetricsRow", "DivergenceError",
-    "lambda_at", "default_lambda", "compute_gradients", "step",
+    "lambda_at", "compute_gradients", "step",
     "make_semi_batches", "train", "TrainResult", "METRICS_HEADER",
 ]
 
@@ -47,10 +47,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    kind: str = "static"  # static | ramp
-    value: float = 0.5
-    lambda_max: float = 0.2
-    gamma: float = 10.0
+    kind: str  # static | ramp
+    value: float  # the static lambda
+    lambda_max: float  # the ramp's ceiling
+    gamma: float  # the ramp's steepness
 
     def __post_init__(self):
         if self.kind not in ("static", "ramp"):
@@ -71,27 +71,19 @@ def lambda_at(sched: LambdaSchedule, epoch: int, total_epochs: int) -> float:
     return sched.lambda_max * (2.0 / (1.0 + math.exp(-p)) - 1.0)
 
 
-def default_lambda(mode: str) -> LambdaSchedule:
-    if mode == "mt":
-        return LambdaSchedule("static", value=0.5)
-    if mode in ("al", "semi"):
-        return LambdaSchedule("ramp", lambda_max=0.2, gamma=10.0)
-    return LambdaSchedule("static", value=0.0)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     mode: str
-    fork: str = "mid"
-    lr_main: float = 1.4
-    lr_speaker: float = 0.1
-    batch_size: int = 8
-    epochs_a: int = 5
-    epochs_b: int = 2
-    epochs_c: int = 15
-    lam: LambdaSchedule | None = None  # None: resolved from mode
-    semi_ratio: int = 0  # transcribed batches per speaker-only batch; 0 = auto
-    seed: int = 1234
+    fork: str
+    lr_main: float
+    lr_speaker: float
+    batch_size: int
+    epochs_a: int
+    epochs_b: int
+    epochs_c: int
+    lam: LambdaSchedule
+    semi_ratio: int  # transcribed batches per speaker-only batch; 0 = auto
+    seed: int
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -104,7 +96,7 @@ class TrainConfig:
             raise ValueError("phase epoch counts must be >= 0")
 
     def schedule(self) -> LambdaSchedule:
-        return self.lam if self.lam is not None else default_lambda(self.mode)
+        return self.lam
 
 
 @dataclass

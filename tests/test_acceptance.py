@@ -438,7 +438,7 @@ def test_criterion_9_metric_properties():
         assert np.all(s >= top - math.log(length) / tau - 1e-12)
 
     # lambda ramp endpoints
-    sched = LambdaSchedule("ramp", lambda_max=0.2, gamma=10.0)
+    sched = LambdaSchedule("ramp", value=0.5, lambda_max=0.2, gamma=10.0)
     assert lambda_at(sched, 0, 15) == 0.0
     end = lambda_at(sched, 15, 15)
     assert abs(end - 0.19998) <= 5e-6, end

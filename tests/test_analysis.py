@@ -13,7 +13,8 @@ from gradflip.model import ModelConfig, build_model
 def small_model(vocab=5, speakers=4, seed=60):
     cfg = ModelConfig(
         in_dim=6, n_layers=4, channels=8, vocab_size=vocab, n_speakers=speakers,
-        fork_layer=2, kernel_width=3, dropout_rate=0.1, branch_channels=6, branch_kernel=3,
+        fork_layer=2, kernel_width=3, dropout_rate=0.1, pooling=PoolingConfig("logsumexp", 1.0),
+        branch_channels=6, branch_kernel=3,
     )
     return build_model(cfg, seed=seed)
 
@@ -21,7 +22,9 @@ def small_model(vocab=5, speakers=4, seed=60):
 def small_dataset(seed=71, utts=10):
     cfg = gd.GenConfig(
         n_speakers=4, utterances_per_speaker=utts, alphabet_size=4, dim=6,
-        noise_sigma=0.15, offset_scale=0.8, seed=seed,
+        frames_per_token=(2, 4), noise_sigma=0.15, words_per_utterance=(2, 3),
+        letters_per_word=(2, 4), semi_speakers=0, offset_scale=0.8, gain_range=(0.7, 1.3),
+        seed=seed,
     )
     return gd.generate(cfg)
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradflip import config as cf
+from gradflip import config as cf, data as gd, model as gm, trainer as tr
 from gradflip.cli import main
 
 MINI_CFG = """
@@ -150,6 +153,35 @@ def test_train_divergence_exit_3(mini):
     assert rc == 3
 
 
+def lambda_column(cell):
+    rows = [line.split(",") for line in (cell / "metrics.csv").read_text().splitlines()[1:]]
+    return [(row[1], float(row[6])) for row in rows]
+
+
+def test_train_al_runs_the_configured_ramp(mini):
+    cfg_path, data_dir, tmp = mini
+    out = tmp / "runs"
+    assert main(
+        ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(out),
+         "--mode", "al", "--fork", "mid", "--train.epochs_c=2",
+         "--train.lambda_max=0.9", "--train.lambda_gamma=3"]
+    ) == 0
+    ramp = tr.LambdaSchedule("ramp", value=0.5, lambda_max=0.9, gamma=3.0)
+    assert lambda_column(out / "al-mid") == [
+        ("A", 0.0), ("B", 0.0), ("C", tr.lambda_at(ramp, 1, 2)), ("C", tr.lambda_at(ramp, 2, 2)),
+    ]
+
+
+def test_train_mt_runs_the_configured_value(mini):
+    cfg_path, data_dir, tmp = mini
+    out = tmp / "runs"
+    assert main(
+        ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(out),
+         "--mode", "mt", "--fork", "mid", "--train.lambda_value=0.7"]
+    ) == 0
+    assert lambda_column(out / "mt-mid") == [("A", 0.0), ("B", 0.0), ("C", 0.7)]
+
+
 def probe_args(cfg_path, data_dir, out, ckpts, layers="1,2"):
     return [
         "probe", "--config", str(cfg_path), "--checkpoints", ckpts,
@@ -259,3 +291,72 @@ def test_config_resolved_reproduces_run(mini, tmp_path):
     assert (a / "final.ckpt").read_bytes() == (b / "final.ckpt").read_bytes()
     strip = lambda p: [",".join(l.split(",")[:-1]) for l in p.read_text().splitlines()]
     assert strip(a / "metrics.csv") == strip(b / "metrics.csv")
+
+
+# --- malformed readers ---
+
+
+def json_keys(doc, path=()):
+    """Every key path into the JSON objects of doc."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from json_keys(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval-inputs")
+    cfg_path = root / "cfg.txt"
+    cfg_path.write_text(MINI_CFG)
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(root / "data")]) == 0
+    dev = gd.load_dataset(root / "data" / "synth.dev")
+    cfg = cf.resolve(cf.load_config_file(cfg_path))
+    gm.save_checkpoint(
+        gm.build_model(cf.model_config(cfg, dev.dim, len(dev.vocab), len(dev.speakers)), cfg["seed"]),
+        root / "model.ckpt",
+    )
+    files = {
+        "synth.dev": (root / "data" / "synth.dev").read_text().splitlines(),
+        "model.ckpt": (root / "model.ckpt").read_text().splitlines(),
+    }
+    assert main(
+        ["eval", "--checkpoint", str(root / "model.ckpt"), "--data", str(root / "data" / "synth.dev"),
+         "--out", str(root / "out")]
+    ) == 0
+    holes = [
+        (name, lineno, path)
+        for name, lines in files.items()
+        for lineno, line in enumerate(lines)
+        for path in json_keys(json.loads(line))
+    ]
+    return root, files, holes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_exits_2_on_any_missing_key(eval_inputs, data):
+    root, files, holes = eval_inputs
+    name, lineno, path = data.draw(st.sampled_from(holes))
+    bad = root / "bad"
+    bad.mkdir(exist_ok=True)
+    for fname, lines in files.items():
+        lines = list(lines)
+        if fname == name:
+            doc = json.loads(lines[lineno])
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+            lines[lineno] = json.dumps(doc)
+        (bad / fname).write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(
+            ["eval", "--checkpoint", str(bad / "model.ckpt"), "--data", str(bad / "synth.dev"),
+             "--out", str(root / "out")]
+        )
+    err = err.getvalue()
+    assert rc == 2, (name, lineno, path)
+    assert str(bad / name) in err, err
+    assert repr(path[-1]) in err, err

@@ -11,8 +11,13 @@ def small_cfg(**kw):
         utterances_per_speaker=8,
         alphabet_size=4,
         dim=6,
+        frames_per_token=(2, 4),
         noise_sigma=0.2,
+        words_per_utterance=(2, 3),
+        letters_per_word=(2, 4),
+        semi_speakers=0,
         offset_scale=0.8,
+        gain_range=(0.7, 1.3),
         seed=77,
     )
     base.update(kw)
@@ -124,41 +129,6 @@ def test_split_empty_part_errors():
         gd.split(ds, 0.9, 0.05, seed=8)
 
 
-# --- subsets ---
-
-
-def test_subset_presets_are_budget_matched():
-    assert gd.MINSPK_PRESET[0] * gd.MINSPK_PRESET[1] == 600
-    assert gd.MAXSPK_PRESET[0] * gd.MAXSPK_PRESET[1] == 600
-    assert gd.MINSPK_PRESET[0] < gd.MAXSPK_PRESET[0]
-
-
-def test_select_subset_shapes_and_labels():
-    ds = gd.generate(small_cfg())
-    sub = gd.select_subset(ds, 2, 3)
-    assert len(sub.utterances) == 6
-    assert {u.speaker for u in sub.utterances} == {0, 1}
-    assert sub.speakers == ds.speakers[:2]
-    # budget-matched pair on the same base dataset
-    a = gd.select_subset(ds, 2, 6)
-    b = gd.select_subset(ds, 4, 3)
-    assert len(a.utterances) == len(b.utterances) == 12
-
-
-def test_select_subset_identity():
-    ds = gd.generate(small_cfg())
-    sub = gd.select_subset(ds, 4, 8)
-    assert gd.datasets_equal(sub, ds)
-
-
-def test_select_subset_insufficient_errors():
-    ds = gd.generate(small_cfg())
-    with pytest.raises(ValueError):
-        gd.select_subset(ds, 5, 2)
-    with pytest.raises(ValueError):
-        gd.select_subset(ds, 2, 9)
-
-
 def test_partition_semi_relabels_both_parts():
     ds = gd.generate(small_cfg(semi_speakers=3))
     main, semi = gd.partition_semi(ds)
@@ -214,9 +184,11 @@ def test_malformed_json_names_line(tmp_path):
 
 
 def test_label_density_preserved_through_compositions():
-    ds = gd.generate(small_cfg(utterances_per_speaker=20))
-    train, dev, test = gd.split(ds, 0.6, 0.2, seed=9)
-    sub = gd.select_subset(train, 3, 5)
-    labels = sorted({u.speaker for u in sub.utterances})
-    assert labels == [0, 1, 2]
-    assert len(sub.speakers) == 3
+    ds = gd.generate(small_cfg(utterances_per_speaker=20, semi_speakers=2))
+    main, semi = gd.partition_semi(ds)
+    for part in gd.split(main, 0.6, 0.2, seed=9):
+        labels = sorted({u.speaker for u in part.utterances})
+        assert labels == [0, 1, 2, 3]
+        assert len(part.speakers) == 4
+    assert sorted({u.speaker for u in semi.utterances}) == [0, 1]
+    assert len(semi.speakers) == 2

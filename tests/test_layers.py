@@ -167,13 +167,13 @@ def test_pool_logsumexp_high_tau_oracle():
 
 def test_pool_sum_and_max():
     r = Tensor(np.array([[1.0, -2.0], [3.0, 5.0]]))
-    np.testing.assert_allclose(layers.pool(r, PoolingConfig("sum")).data, [4.0, 3.0])
-    np.testing.assert_allclose(layers.pool(r, PoolingConfig("max")).data, [3.0, 5.0])
+    np.testing.assert_allclose(layers.pool(r, PoolingConfig("sum", 1.0)).data, [4.0, 3.0])
+    np.testing.assert_allclose(layers.pool(r, PoolingConfig("max", 1.0)).data, [3.0, 5.0])
 
 
 def test_pool_empty_errors():
     with pytest.raises(tz.ShapeMismatch):
-        layers.pool(Tensor(np.zeros((0, 2))), PoolingConfig("sum"))
+        layers.pool(Tensor(np.zeros((0, 2))), PoolingConfig("sum", 1.0))
 
 
 def test_pool_logsumexp_bounds_property():
@@ -200,7 +200,7 @@ def test_pool_logsumexp_monotone_in_tau():
 def test_pool_gradients():
     rng = np.random.default_rng(17)
     r = rng.normal(size=(4, 3))
-    for cfg in (PoolingConfig("sum"), PoolingConfig("max"), PoolingConfig("logsumexp", tau=1.0)):
+    for cfg in (PoolingConfig("sum", 1.0), PoolingConfig("max", 1.0), PoolingConfig("logsumexp", tau=1.0)):
         def build(t, cfg=cfg):
             p = layers.pool(t, cfg)
             return tz.sum_reduce(tz.mul(p, p))
@@ -278,14 +278,19 @@ def test_linear_initially_equals_plain_matmul():
 
 
 def test_layer_spec_validation():
+    def gated_conv(in_ch=2, out_ch=2, width=5, rate=0.0):
+        return layers.GatedConv(tz.ParamStore(), "l0", "main", in_ch, out_ch, width, rate, RngStream(1, "init"))
+
     with pytest.raises(ValueError, match="odd"):
-        layers.LayerSpec("gated_conv", 2, 2, kernel_width=4)
+        gated_conv(width=4)
     with pytest.raises(ValueError):
-        layers.LayerSpec("gated_conv", 2, 2, dropout_rate=1.0)
+        gated_conv(rate=1.0)
+    with pytest.raises(ValueError):
+        gated_conv(out_ch=0)
     with pytest.raises(ValueError):
         layers.PoolingConfig("logsumexp", tau=0.0)
     with pytest.raises(ValueError):
-        layers.PoolingConfig("mean")
+        layers.PoolingConfig("mean", 1.0)
 
 
 def test_gated_conv_init_gain_independent_of_dropout():

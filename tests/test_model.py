@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradflip import model as gm, tensor as tz
+from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from helpers import grad_error
 
@@ -16,6 +17,7 @@ def toy_config(**kw):
         fork_layer=3,
         kernel_width=3,
         dropout_rate=0.25,
+        pooling=PoolingConfig("logsumexp", 1.0),
         branch_channels=5,
         branch_kernel=3,
     )
@@ -42,12 +44,13 @@ def test_fork_presets_match_convention():
 def test_full_scale_preset_builds():
     cfg = ModelConfig(
         in_dim=8, n_layers=17, channels=10, vocab_size=5, n_speakers=4,
-        fork_layer=gm.resolve_fork(17, "mid"), branch_channels=200, branch_kernel=5,
+        fork_layer=gm.resolve_fork(17, "mid"), kernel_width=5, dropout_rate=0.25,
+        pooling=PoolingConfig("logsumexp", 1.0), branch_channels=200, branch_kernel=5,
     )
     m = build_model(cfg, seed=1)
     # branch preset: width 5, 200 feature maps
-    assert m.branch_conv.spec.kernel_width == 5
-    assert m.branch_conv.spec.out_channels == 200
+    assert m.branch_conv.kernel_width == 5
+    assert m.branch_conv.out_channels == 200
     assert len(m.stack) == 17
     # forward/backward smoke through the deep stack
     x = rand_input(t_len=5, dim=8, seed=40)

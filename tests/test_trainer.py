@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gradflip import data as gd, trainer as tr
+from gradflip import config as cf, data as gd, trainer as tr
+from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
 from gradflip.trainer import LambdaSchedule, TrainConfig, lambda_at
@@ -15,11 +17,13 @@ def tiny_data(seed=101, semi_speakers=0, utts=6):
         utterances_per_speaker=utts,
         alphabet_size=4,
         dim=6,
+        frames_per_token=(2, 4),
         noise_sigma=0.15,
         offset_scale=0.8,
         words_per_utterance=(1, 2),
         letters_per_word=(2, 3),
         semi_speakers=semi_speakers,
+        gain_range=(0.7, 1.3),
         seed=seed,
     )
     return gd.partition_semi(gd.generate(cfg))
@@ -35,50 +39,61 @@ def tiny_model(n_speakers=3, seed=21, fork=2):
         fork_layer=fork,
         kernel_width=3,
         dropout_rate=0.1,
+        pooling=PoolingConfig("logsumexp", 1.0),
         branch_channels=6,
         branch_kernel=3,
     )
     return build_model(cfg, seed=seed)
 
 
+def train_cfg(mode, **changes):
+    """The toy preset's training config for `mode`, with `changes` applied."""
+    return dataclasses.replace(cf.train_config({**cf.SCHEMA, "train.mode": mode}), **changes)
+
+
 # --- lambda schedule ---
+
+RAMP = LambdaSchedule("ramp", value=0.5, lambda_max=0.2, gamma=10.0)
 
 
 def test_ramp_starts_at_zero():
-    assert lambda_at(LambdaSchedule("ramp"), 0, 15) == 0.0
+    assert lambda_at(RAMP, 0, 15) == 0.0
 
 
 def test_ramp_endpoint_value():
-    lam = lambda_at(LambdaSchedule("ramp", lambda_max=0.2, gamma=10.0), 15, 15)
+    lam = lambda_at(RAMP, 15, 15)
     # direct evaluation: 0.2 * (2 / (1 + e^-10) - 1)
     assert lam == pytest.approx(0.2 * (2.0 / (1.0 + math.exp(-10.0)) - 1.0), abs=1e-15)
     assert lam == pytest.approx(0.199982, abs=1e-6)
 
 
 def test_static_schedule_constant():
-    s = LambdaSchedule("static", value=0.5)
+    s = LambdaSchedule("static", value=0.5, lambda_max=0.2, gamma=10.0)
     assert all(lambda_at(s, e, 15) == 0.5 for e in range(16))
 
 
 def test_ramp_monotone():
-    s = LambdaSchedule("ramp")
+    s = RAMP
     vals = [lambda_at(s, e, 20) for e in range(21)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= s.lambda_max for v in vals)
 
 
 def test_default_schedules_by_mode():
-    assert tr.default_lambda("mt") == LambdaSchedule("static", value=0.5)
-    assert tr.default_lambda("al").kind == "ramp"
-    assert tr.default_lambda("semi").kind == "ramp"
+    # train.lambda_kind = auto: static lambda_value for mt, a ramp to
+    # lambda_max for al and semi, all taken from the configured values
+    cfg = {**cf.SCHEMA, "train.lambda_value": 0.7, "train.lambda_max": 0.9, "train.lambda_gamma": 3.0}
+    assert cf.train_config({**cfg, "train.mode": "mt"}).schedule() == LambdaSchedule("static", 0.7, 0.9, 3.0)
+    for mode in ("al", "semi"):
+        assert cf.train_config({**cfg, "train.mode": mode}).schedule() == LambdaSchedule("ramp", 0.7, 0.9, 3.0)
 
 
-def test_train_config_defaults_keep_full_scale_rates():
-    cfg = TrainConfig(mode="mt")
-    assert cfg.lr_main == 1.4
-    assert cfg.lr_speaker == 0.1
-    assert cfg.schedule() == LambdaSchedule("static", value=0.5)
-    assert TrainConfig(mode="al").schedule().lambda_max == 0.2
+def test_config_records_have_no_defaults():
+    # config.SCHEMA is the only source of preset values
+    for record in (gd.GenConfig, ModelConfig, TrainConfig, LambdaSchedule, PoolingConfig):
+        for f in dataclasses.fields(record):
+            assert f.default is dataclasses.MISSING, (record.__name__, f.name)
+            assert f.default_factory is dataclasses.MISSING, (record.__name__, f.name)
 
 
 # --- single step contracts ---
@@ -204,7 +219,7 @@ def test_semi_empty_pool_errors():
 def test_semi_union_label_space():
     train_ds, semi_ds = tiny_data(semi_speakers=2)
     m = tiny_model(n_speakers=5, seed=44)
-    cfg = TrainConfig(mode="semi", epochs_a=1, epochs_b=0, epochs_c=1, batch_size=4,
+    cfg = train_cfg("semi", epochs_a=1, epochs_b=0, epochs_c=1, batch_size=4,
                       lr_main=0.05, lr_speaker=0.02, seed=5)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=6)
     result = tr.train(m, train_ds, dev_ds, cfg, semi_ds=semi_ds)
@@ -232,7 +247,7 @@ def test_phase_b_freezes_main_bit_exact():
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=7)
     m = tiny_model(seed=47)
-    cfg = TrainConfig(mode="al", epochs_a=1, epochs_b=2, epochs_c=0, batch_size=4,
+    cfg = train_cfg("al", epochs_a=1, epochs_b=2, epochs_c=0, batch_size=4,
                       lr_main=0.05, lr_speaker=0.02, seed=8)
 
     tr.train(m, train_ds, dev_ds, cfg)
@@ -262,7 +277,7 @@ def test_phase_b_freezes_main_bit_exact():
 def test_baseline_equals_single_objective_run():
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=9)
-    cfg = TrainConfig(mode="baseline", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
+    cfg = train_cfg("baseline", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
                       lr_main=0.05, lr_speaker=0.02, seed=10)
     m = tiny_model(seed=48)
     result = tr.train(m, train_ds, dev_ds, cfg)
@@ -287,7 +302,7 @@ def test_baseline_equals_single_objective_run():
 def test_metrics_csv_deterministic_across_runs(tmp_path):
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=11)
-    cfg = TrainConfig(mode="mt", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
+    cfg = train_cfg("mt", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
                       lr_main=0.05, lr_speaker=0.02, seed=12)
 
     def run(out):
@@ -306,7 +321,7 @@ def test_metrics_csv_deterministic_across_runs(tmp_path):
 def test_lambda_schedule_spans_phase_c_only():
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=13)
-    cfg = TrainConfig(mode="al", epochs_a=1, epochs_b=1, epochs_c=3, batch_size=4,
+    cfg = train_cfg("al", epochs_a=1, epochs_b=1, epochs_c=3, batch_size=4,
                       lr_main=0.05, lr_speaker=0.02, seed=14)
     m = tiny_model(seed=50)
     result = tr.train(m, train_ds, dev_ds, cfg)
@@ -320,7 +335,7 @@ def test_lambda_schedule_spans_phase_c_only():
 def test_divergence_guard_aborts_with_diagnostic():
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=15)
-    cfg = TrainConfig(mode="baseline", epochs_a=3, epochs_b=0, epochs_c=0,
+    cfg = train_cfg("baseline", epochs_a=3, epochs_b=0, epochs_c=0,
                       batch_size=4, lr_main=400.0, seed=16)
     m = tiny_model(seed=51)
     with pytest.raises(tr.DivergenceError, match="epoch"):
@@ -332,7 +347,7 @@ def test_phase_a_loss_decreases():
     # the acceptance suite; this micro dataset just has to make progress
     train_ds, _ = tiny_data(utts=10, seed=202)
     _, dev_ds, _ = gd.split(train_ds, 0.6, 0.2, seed=17)
-    cfg = TrainConfig(mode="baseline", epochs_a=5, epochs_b=0, epochs_c=0, batch_size=8,
+    cfg = train_cfg("baseline", epochs_a=5, epochs_b=0, epochs_c=0, batch_size=8,
                       lr_main=0.03, lr_speaker=0.02, seed=18)
     m = tiny_model(seed=52)
     result = tr.train(m, train_ds, dev_ds, cfg)
