@@ -6,10 +6,12 @@ K x K transition score matrix:
     loss = logadd over all K^T frame paths
          - logadd over the monotone alignments of the target
 
-Both log-add dynamic programs are built from tape primitives, so the loss
-differentiates with respect to emissions and transitions for free. Targets
-must be free of adjacent duplicates (this project never uses repetition
-tokens); Viterbi decoding runs outside the tape in plain numpy.
+Each score is the log-add over the paths of a state graph, taken by one
+numpy forward-backward recursion recorded on the tape as one node: the
+alpha pass gives the score, the beta pass the state and edge posteriors
+that are its gradients. The full graph's states are the K tokens, the
+constrained graph's the N target positions joined by stay and move edges.
+Targets have no adjacent duplicates (no repetition tokens are used).
 """
 
 from __future__ import annotations
@@ -43,8 +45,42 @@ def validate_target(target: Sequence[int], vocab_size: int, n_frames: int) -> tu
     return y
 
 
-def _pick(mat: Tensor, row: int, col: int) -> Tensor:
-    return tz.slice_axis(tz.slice_axis(mat, 0, row, row + 1), 1, col, col + 1)
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    # a slice that is all -inf (an unreachable state) stays -inf, not NaN
+    m = a.max(axis=axis, keepdims=True)
+    m = np.where(m == -np.inf, 0.0, m)
+    return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), axis=axis)
+
+
+def _graph_logadd(op, emissions, transitions, em, tr, start, end, scatter) -> Tensor:
+    """One tape node: the log-add score of all paths through a state graph.
+
+    em (T, S) scores state s at frame t, tr (S, S) the edge i -> j, start
+    and end (S,) the first and last state (0 or -inf). `scatter` maps state
+    posteriors (T, S) and frame-summed edge posteriors (S, S) to gradients
+    of `emissions` and `transitions`. numpy stays quiet: the node's check
+    rejects the non-finite score of a diverging input.
+    """
+    with np.errstate(all="ignore"):
+        alpha = np.empty_like(em)
+        alpha[0] = em[0] + start
+        for t in range(1, len(em)):
+            alpha[t] = em[t] + _logsumexp(alpha[t - 1][:, None] + tr, axis=0)
+        log_z = _logsumexp(alpha[-1] + end, axis=0)
+
+    def bw(g, grads):
+        with np.errstate(all="ignore"):
+            beta = np.empty_like(em)
+            beta[-1] = end
+            for t in range(len(em) - 1, 0, -1):
+                beta[t - 1] = _logsumexp(tr + em[t] + beta[t], axis=1)
+            states = np.exp(alpha + beta - log_z)
+            edges = np.exp(alpha[:-1, :, None] + tr + (em[1:] + beta[1:])[:, None, :] - log_z).sum(axis=0)
+            em_grad, tr_grad = scatter(states, edges)
+        tz._acc(grads, emissions, g * em_grad)
+        tz._acc(grads, transitions, g * tr_grad)
+
+    return tz._node(np.reshape(log_z, (1, 1)), op, (emissions, transitions), bw)
 
 
 def full_logadd(emissions: Tensor, transitions: Tensor) -> Tensor:
@@ -52,12 +88,8 @@ def full_logadd(emissions: Tensor, transitions: Tensor) -> Tensor:
     t_len, k = emissions.shape
     if transitions.shape != (k, k):
         raise tz.ShapeMismatch(f"transitions {transitions.shape} do not match K={k}")
-    beta = tz.slice_axis(emissions, 0, 0, 1)  # (1, K)
-    for t in range(1, t_len):
-        prev = tz.reshape(beta, (k, 1))
-        hop = tz.logsumexp(tz.add(prev, transitions), axis=0, keepdims=True)
-        beta = tz.add(tz.slice_axis(emissions, 0, t, t + 1), hop)
-    return tz.logsumexp(beta, axis=1, keepdims=True)  # (1, 1)
+    return _graph_logadd("full_logadd", emissions, transitions, emissions.data, transitions.data,
+                         np.zeros(k), np.zeros(k), lambda states, edges: (states, edges))
 
 
 def constrained_logadd(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> Tensor:
@@ -66,58 +98,25 @@ def constrained_logadd(emissions: Tensor, transitions: Tensor, target: Sequence[
     alpha_t(n) = f_t(y_n) + logadd(alpha_{t-1}(n)   + g(y_n, y_n),
                                    alpha_{t-1}(n-1) + g(y_{n-1}, y_n))
 
-    The alpha band is kept rectangular-free: only the reachable token range
-    [max(1, N-(T-t)), min(t, N)] is materialized per frame.
+    Paths start at position 1 and end at position N; every other edge
+    scores -inf, so states no path reaches keep alpha = -inf.
     """
     t_len, k = emissions.shape
-    y = validate_target(target, k, t_len)
-    n_tok = len(y)
+    y = np.array(validate_target(target, k, t_len))
+    pos = np.arange(len(y))
+    edge = np.isin(pos[None, :] - pos[:, None], (0, 1))  # stay (n -> n) or move (n -> n+1)
+    tr = np.where(edge, transitions.data[y[:, None], y[None, :]], -np.inf)
 
-    # per-token emission columns and the two transition vectors, as rows
-    em_y = tz.concat([tz.slice_axis(emissions, 1, tok, tok + 1) for tok in y], axis=1)  # (T, N)
-    stay = tz.concat([_pick(transitions, tok, tok) for tok in y], axis=1)  # (1, N)
-    if n_tok > 1:
-        move = tz.concat([_pick(transitions, a, b) for a, b in zip(y, y[1:])], axis=1)  # (1, N-1)
-    else:
-        move = None
+    def scatter(states, edges):
+        # tokens repeat within a target, so several positions share a column
+        em_grad, tr_grad = np.zeros((t_len, k)), np.zeros((k, k))
+        np.add.at(em_grad, (slice(None), y), states)
+        np.add.at(tr_grad, (y[:, None], y[None, :]), edges)
+        return em_grad, tr_grad
 
-    def band(t):  # 1-based inclusive token range reachable at frame t
-        return max(1, n_tok - (t_len - t)), min(t, n_tok)
-
-    lo, hi = band(1)
-    alpha = tz.slice_axis(tz.slice_axis(em_y, 0, 0, 1), 1, 0, 1)  # (1, 1) = f_1(y_1)
-    for t in range(2, t_len + 1):
-        plo, phi = lo, hi
-        lo, hi = band(t)
-        stay_hi = min(hi, phi)  # stay needs alpha_{t-1}(n)
-        move_lo = max(lo, plo + 1, 2)  # move needs alpha_{t-1}(n-1), n >= 2
-        parts = []
-        if lo <= stay_hi:
-            stay_term = tz.add(
-                tz.slice_axis(alpha, 1, lo - plo, stay_hi - plo + 1),
-                tz.slice_axis(stay, 1, lo - 1, stay_hi),
-            )
-        if move_lo <= hi:
-            move_term = tz.add(
-                tz.slice_axis(alpha, 1, move_lo - 1 - plo, hi - plo),
-                tz.slice_axis(move, 1, move_lo - 2, hi - 1),
-            )
-        if lo < move_lo:  # stay-only prefix
-            parts.append(tz.slice_axis(stay_term, 1, 0, move_lo - lo))
-        if move_lo <= stay_hi:  # overlap: logadd both arrivals
-            both = tz.concat(
-                [
-                    tz.slice_axis(stay_term, 1, move_lo - lo, stay_hi - lo + 1),
-                    tz.slice_axis(move_term, 1, 0, stay_hi - move_lo + 1),
-                ],
-                axis=0,
-            )
-            parts.append(tz.logsumexp(both, axis=0, keepdims=True))
-        if stay_hi < hi:  # move-only suffix
-            parts.append(tz.slice_axis(move_term, 1, stay_hi + 1 - move_lo, hi - move_lo + 1))
-        combined = parts[0] if len(parts) == 1 else tz.concat(parts, axis=1)
-        alpha = tz.add(combined, tz.slice_axis(tz.slice_axis(em_y, 0, t - 1, t), 1, lo - 1, hi))
-    return alpha  # (1, 1): band at t=T is exactly [N, N]
+    first, last = np.where(pos == 0, 0.0, -np.inf), np.where(pos == len(y) - 1, 0.0, -np.inf)
+    return _graph_logadd("constrained_logadd", emissions, transitions, emissions.data[:, y], tr,
+                         first, last, scatter)
 
 
 def asg_loss(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> Tensor:

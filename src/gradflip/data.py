@@ -36,8 +36,12 @@ __all__ = [
 ]
 
 FILE_VERSION = 1
-HEADER_KEYS = ("format_version", "dim", "vocab", "speakers")
-RECORD_KEYS = ("id", "speaker", "transcript", "frames")
+HEADER_KEYS = {"format_version": int, "dim": int, "vocab": list, "speakers": list}
+RECORD_KEYS = {"id": str, "speaker": int, "transcript": (list, type(None)), "frames": list}
+_JSON_NAMES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
 
 
 @dataclass(frozen=True)
@@ -309,34 +313,46 @@ def load_dataset(path) -> Dataset:
         except json.JSONDecodeError as e:
             fail(lineno, f"bad record: {e}")
         check_keys(f"{path}: line {lineno}: record", rec, RECORD_KEYS)
-        frames = rec["frames"]
-        if not frames or any(len(row) != dim for row in frames):
-            fail(lineno, f"frame arity differs from header dim {dim}")
-        speaker = int(rec["speaker"])
+        try:
+            features = np.asarray(rec["frames"], dtype=np.float64)
+        except (TypeError, ValueError):  # ragged rows or non-numbers
+            features = None
+        if features is None or features.ndim != 2 or not len(features) or features.shape[1] != dim:
+            fail(lineno, f"frames must be a non-empty list of rows of dim={dim} numbers")
+        speaker = rec["speaker"]
         if not (0 <= speaker < len(speakers)):
             fail(lineno, f"speaker label {speaker} outside table of {len(speakers)}")
         transcript = rec["transcript"]
         if transcript is not None:
-            transcript = tuple(int(t) for t in transcript)
-            if len(transcript) > len(frames):
+            if any(type(t) is not int for t in transcript):
+                fail(lineno, "transcript tokens must be integers")
+            transcript = tuple(transcript)
+            if len(transcript) > len(features):
                 fail(lineno, "transcript longer than frame count")
             if any(not (0 <= t < len(vocab)) for t in transcript):
                 fail(lineno, "transcript token outside vocabulary")
             if any(a == b for a, b in zip(transcript, transcript[1:])):
                 fail(lineno, "transcript has adjacent duplicate tokens")
-        utts.append(
-            Utterance(rec["id"], speaker, transcript, np.asarray(frames, dtype=np.float64))
-        )
+        utts.append(Utterance(rec["id"], speaker, transcript, features))
+    if not utts:
+        raise ValueError(f"{path}: no utterance records after the header")
     return Dataset(utts, list(vocab), list(speakers))
 
 
-def check_keys(where: str, obj, keys) -> None:
-    """Reject a decoded JSON value unless it is an object with exactly `keys`."""
+def check_keys(where: str, obj, keys: dict) -> None:
+    """Reject a decoded JSON value unless it is an object with exactly the
+    keys of `keys`, each holding a value of its type (or tuple of types).
+
+    Types match exactly, so a boolean is not taken for an integer."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: not a JSON object")
-    for key in keys:
+    for key, types in keys.items():
         if key not in obj:
             raise ValueError(f"{where}: missing key {key!r}")
+        types = types if isinstance(types, tuple) else (types,)
+        if type(obj[key]) not in types:
+            want = " or ".join(_JSON_NAMES[t] for t in types)
+            raise ValueError(f"{where}: key {key!r} must be {want}, not {_JSON_NAMES[type(obj[key])]}")
     for key in obj:
         if key not in keys:
             raise ValueError(f"{where}: unknown key {key!r}")

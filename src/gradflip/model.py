@@ -230,21 +230,38 @@ def save_checkpoint(m: ModelGraph, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=None) + "\n")
 
 
+# JSON value types of the config fields, by annotation; a float field takes an integer too
+_FIELD_TYPES = {"int": int, "float": (float, int), "str": str, "PoolingConfig": dict}
+
+
+def _config_keys(cls) -> dict:
+    return {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+
+
 def load_checkpoint(path) -> ModelGraph:
     doc = json.loads(Path(path).read_text())
-    check_keys(f"{path}: checkpoint", doc, ("format_version", "config", "params"))
+    check_keys(f"{path}: checkpoint", doc, {"format_version": int, "config": dict, "params": dict})
     if doc["format_version"] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version: {doc['format_version']}")
     d = doc["config"]
-    check_keys(f"{path}: checkpoint config", d, [f.name for f in fields(ModelConfig)])
-    check_keys(f"{path}: checkpoint config pooling", d["pooling"], [f.name for f in fields(PoolingConfig)])
+    check_keys(f"{path}: checkpoint config", d, _config_keys(ModelConfig))
+    check_keys(f"{path}: checkpoint config pooling", d["pooling"], _config_keys(PoolingConfig))
     m = build_model(ModelConfig(**{**d, "pooling": PoolingConfig(**d["pooling"])}), seed=0)
     saved = doc["params"]
-    check_keys(f"{path}: checkpoint parameter names do not match the config", saved, m.params.names())
+    check_keys(
+        f"{path}: checkpoint parameter names do not match the config", saved,
+        dict.fromkeys(m.params.names(), dict),
+    )
     for name, t, _ in m.params.items():
         entry = saved[name]
-        check_keys(f"{path}: checkpoint parameter {name}", entry, ("shape", "values"))
+        check_keys(f"{path}: checkpoint parameter {name}", entry, {"shape": list, "values": list})
         if tuple(entry["shape"]) != t.shape:
             raise ValueError(f"{path}: checkpoint shape mismatch for {name}")
-        np.copyto(t.data, np.asarray(entry["values"], dtype=np.float64).reshape(t.shape))
+        try:
+            values = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: checkpoint parameter {name}: 'values' must hold {t.size} numbers"
+            ) from None
+        np.copyto(t.data, values)
     return m

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gradflip import asg
+from gradflip import tensor as tz
 from gradflip.tensor import Tensor
 from helpers import check_gradients
 
@@ -118,8 +119,19 @@ def test_gradients_longer_instance():
     rng = np.random.default_rng(7)
     em_v = rng.normal(size=(6, 4))
     tr_v = rng.normal(size=(4, 4))
-    target = [1, 0, 3, 0]
-    check_gradients(lambda em, tr: asg.asg_loss(em, tr, target), [em_v, tr_v], tol=1e-6)
+    # a repeated token; a repeated move edge (0 -> 1 twice); N = T, which has
+    # exactly one alignment; and N = 1
+    for target in ([1, 0, 3, 0], [0, 1, 0, 1], [2, 0, 1, 3, 1, 0], [2]):
+        check_gradients(lambda em, tr: asg.asg_loss(em, tr, target), [em_v, tr_v], tol=1e-6)
+
+
+def test_loss_records_at_most_three_tape_nodes():
+    # each score is one fused node, joined by one sub: the graph does not grow with T
+    rng = np.random.default_rng(11)
+    em = Tensor(rng.normal(size=(40, 7)), grad_tracked=True)
+    tr = Tensor(rng.normal(size=(7, 7)), grad_tracked=True)
+    loss = asg.asg_loss(em, tr, [0, 6, 1, 5, 0, 6, 2, 3])
+    assert len(tz._topo_from(loss)) <= 3
 
 
 def test_per_frame_shift_invariance():

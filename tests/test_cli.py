@@ -1,10 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradflip
 from gradflip import config as cf, data as gd, model as gm, trainer as tr
 from gradflip.cli import main
 
@@ -141,6 +146,33 @@ def test_train_missing_data_exit_2(mini, tmp_path):
          "--out", str(tmp_path / "runs"), "--mode", "baseline"]
     )
     assert rc == 2
+
+
+def test_train_header_only_train_file_exit_2(mini, capsys):
+    cfg_path, data_dir, tmp = mini
+    train = data_dir / "synth.train"
+    train.write_text(train.read_text().splitlines()[0] + "\n")
+    rc = main(
+        ["train", "--config", str(cfg_path), "--data", str(data_dir),
+         "--out", str(tmp / "runs"), "--mode", "baseline"]
+    )
+    assert rc == 2
+    assert f"{train}: no utterance records" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_a_command(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINI_CFG)
+    src = str(Path(gradflip.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradflip.cli", "gen-data", "--config", str(cfg_path),
+         "--out", str(tmp_path / "data")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "wrote 4 dataset files" in proc.stdout
+    assert (tmp_path / "data" / "synth.train").exists()
 
 
 def test_train_divergence_exit_3(mini):
@@ -333,11 +365,8 @@ def eval_inputs(tmp_path_factory):
     return root, files, holes
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_eval_exits_2_on_any_missing_key(eval_inputs, data):
-    root, files, holes = eval_inputs
-    name, lineno, path = data.draw(st.sampled_from(holes))
+def eval_with_edit(root, files, name, lineno, path, edit):
+    """Run eval on copies of the inputs, after edit(parent, key) on one JSON value."""
     bad = root / "bad"
     bad.mkdir(exist_ok=True)
     for fname, lines in files.items():
@@ -347,7 +376,7 @@ def test_eval_exits_2_on_any_missing_key(eval_inputs, data):
             parent = doc
             for key in path[:-1]:
                 parent = parent[key]
-            del parent[path[-1]]
+            edit(parent, path[-1])
             lines[lineno] = json.dumps(doc)
         (bad / fname).write_text("\n".join(lines) + "\n")
     err = io.StringIO()
@@ -360,3 +389,51 @@ def test_eval_exits_2_on_any_missing_key(eval_inputs, data):
     assert rc == 2, (name, lineno, path)
     assert str(bad / name) in err, err
     assert repr(path[-1]) in err, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_exits_2_on_any_missing_key(eval_inputs, data):
+    root, files, holes = eval_inputs
+    name, lineno, path = data.draw(st.sampled_from(holes))
+    eval_with_edit(root, files, name, lineno, path, lambda parent, key: parent.pop(key))
+
+
+# one value of each JSON type; a replacement must differ in type from the value it replaces
+JSON_SAMPLES = (None, True, 3, 0.5, "x", [], {})
+
+
+def wrong_types(key, value):
+    """JSON samples that no reader accepts in place of `value` under `key`."""
+    allowed = {type(value)}
+    if isinstance(value, float):
+        allowed.add(int)  # a float field also takes an integer
+    if key == "transcript":
+        allowed |= {list, type(None)}  # null marks an untranscribed utterance
+    return [s for s in JSON_SAMPLES if type(s) not in allowed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_exits_2_on_any_wrong_type(eval_inputs, data):
+    root, files, holes = eval_inputs
+    name, lineno, path = data.draw(st.sampled_from(holes))
+    value = json.loads(files[name][lineno])
+    for key in path:
+        value = value[key]
+    swap = data.draw(st.sampled_from(wrong_types(path[-1], value)))
+    eval_with_edit(root, files, name, lineno, path, lambda parent, key: parent.__setitem__(key, swap))
+
+
+@pytest.mark.parametrize(
+    "name,lineno,path,swap",
+    [
+        ("synth.dev", 1, ("speaker",), None),
+        ("synth.dev", 1, ("frames",), 3),
+        ("model.ckpt", 0, ("config", "n_layers"), "5"),
+    ],
+    ids=["speaker-null", "frames-int", "n_layers-string"],
+)
+def test_eval_exits_2_on_wrong_type_examples(eval_inputs, name, lineno, path, swap):
+    root, files, _ = eval_inputs
+    eval_with_edit(root, files, name, lineno, path, lambda parent, key: parent.__setitem__(key, swap))
