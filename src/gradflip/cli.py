@@ -111,9 +111,6 @@ def cmd_train(args, extras) -> int:
 
     data_dir = Path(args.data or cfg["data.dir"] or ".")
     paths = _dataset_paths(data_dir, cfg["data.name"])
-    for part in ("train", "dev"):
-        if not paths[part].exists():
-            raise ValueError(f"missing dataset file {paths[part]}")
     train_ds = gd.load_dataset(paths["train"])
     dev_ds = gd.load_dataset(paths["dev"])
     semi_ds = None
@@ -159,9 +156,6 @@ def cmd_probe(args, extras) -> int:
     cfg = _resolve_from_args(args, extras)
     out_dir = Path(args.out)
     checkpoints = _parse_checkpoint_list(args.checkpoints)
-    for name, path in checkpoints.items():
-        if not path.exists():
-            raise ValueError(f"checkpoint {name}={path} does not exist")
     _echo_resolved(cfg, out_dir)
     dataset = gd.load_dataset(args.data)
     labels = [s for s in args.layers.split(",") if s]
@@ -197,15 +191,11 @@ def cmd_eval(args, extras) -> int:
     cfg = _resolve_from_args(args, extras)
     out_dir = Path(args.out)
     ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ValueError(f"checkpoint {ckpt} does not exist")
     _echo_resolved(cfg, out_dir)
     m = gm.load_checkpoint(ckpt)
     rows = []
     for path_str in args.data.split(","):
         path = Path(path_str)
-        if not path.exists():
-            raise ValueError(f"dataset file {path} does not exist")
         ds = gd.load_dataset(path)
         split_name = path.suffix.lstrip(".") or path.name
         results = analysis.evaluate(m, ds)
@@ -262,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, extras)
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an input path that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

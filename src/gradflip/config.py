@@ -84,8 +84,6 @@ def _coerce(key: str, raw: str):
     default = SCHEMA[key]
     text = raw.strip()
     try:
-        if isinstance(default, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

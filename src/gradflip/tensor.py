@@ -363,13 +363,15 @@ def grad_scale(a: Tensor, factor: float) -> Tensor:
     """Identity forward; backward multiplies the upstream gradient by factor.
 
     factor < 0 turns descent on the downstream loss into ascent for
-    everything upstream of the junction (gradient reversal)."""
+    everything upstream of the junction (gradient reversal). factor 0
+    passes no gradient, so the output records no parent and a backward
+    pass stops at the junction."""
     factor = float(factor)
 
     def bw(g, grads):
         _acc(grads, a, g * factor)
 
-    return _node(a.data, "grad_scale", (a,), bw, check=False)
+    return _node(a.data, "grad_scale", (a,) if factor else (), bw, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ All non-baseline modes share one loss wiring: the transcription loss plus
 the unscaled speaker NLL whose gradient crosses the fork through a
 gradient-scaling junction. The junction factor is +lambda for multi-task
 and -lambda for adversarial/semi-supervised training, so the two regimes
-differ in exactly one sign. Training runs in three phases:
+differ in exactly one sign. A training step is one objective, the sum of
+the two batch-mean losses, differentiated with one backward pass.
+Training runs in three phases:
 
   A: junction factor pinned to 0 (no speaker gradient reaches the encoder,
      the branch still trains on detached representations),
-  B: only the `speaker` parameter group is updated,
+  B: only the `speaker` parameter group is updated, so a step
+     differentiates only the speaker loss,
   C: joint training with the scheduled lambda.
 
 Baseline mode ignores the speaker term and the phase structure entirely; it
@@ -133,22 +136,10 @@ def _junction_factor(mode: str, lam: float) -> float:
     return 0.0
 
 
-def compute_gradients(
-    m: ModelGraph,
-    batch: list[Utterance],
-    mode: str,
-    lam: float,
-    rng: RngStream | None = None,
-    train_mode: bool = True,
-):
-    """Mean-over-batch losses and their gradients, acoustic and speaker
-    parts kept separate.
-
-    Returns (acoustic_loss, speaker_loss, grads_acoustic, grads_speaker);
-    the loss is nan and the gradient map all-zero for a part that was not
-    computed (speaker part in baseline, acoustic part on speaker-only
-    batches).
-    """
+def _batch_losses(m: ModelGraph, batch: list[Utterance], mode: str, lam: float, rng: RngStream | None):
+    """The batch's mean acoustic loss and mean speaker loss as tape scalars,
+    each None when the batch does not compute it (the speaker loss in
+    baseline, the acoustic loss on speaker-only batches)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not batch:
@@ -159,11 +150,7 @@ def compute_gradients(
     if speaker_only and mode != "semi":
         raise ValueError(f"speaker-only batch is only valid in semi mode, not {mode!r}")
 
-    fwd_mode = "train" if train_mode else "eval"
     factor = _junction_factor(mode, lam)
-    scale = 1.0 / len(batch)
-    zeros = {name: np.zeros_like(t.data) for name, t, _ in m.params.items()}
-
     ac_total = None
     sp_total = None
     for i, u in enumerate(batch):
@@ -171,34 +158,49 @@ def compute_gradients(
         # depends only on (stream, position, layer), never on the mode
         u_rng = rng.child(f"u{i}") if rng is not None else None
         if speaker_only:
-            logits = gm.forward_speaker(m, u.features, factor, fwd_mode, u_rng)
+            logits = gm.forward_speaker(m, u.features, factor, "train", u_rng)
             sp = gm.speaker_nll(logits, u.speaker)
             sp_total = sp if sp_total is None else tz.add(sp_total, sp)
             continue
         if mode == "baseline":
-            em = gm.forward_acoustic(m, u.features, fwd_mode, u_rng)
+            em = gm.forward_acoustic(m, u.features, "train", u_rng)
             ac = asg.asg_loss(em, m.transitions, u.transcript)
             ac_total = ac if ac_total is None else tz.add(ac_total, ac)
             continue
-        em, logits = gm.forward_joint(m, u.features, factor, fwd_mode, u_rng)
+        em, logits = gm.forward_joint(m, u.features, factor, "train", u_rng)
         ac = asg.asg_loss(em, m.transitions, u.transcript)
         sp = gm.speaker_nll(logits, u.speaker)
         ac_total = ac if ac_total is None else tz.add(ac_total, ac)
         sp_total = sp if sp_total is None else tz.add(sp_total, sp)
 
-    if ac_total is not None:
-        ac_mean = tz.smul(ac_total, scale)
-        ac_loss = ac_mean.item()
-        grads_ac = tz.backward(ac_mean, m.params)
-    else:
-        ac_loss, grads_ac = float("nan"), zeros
-    if sp_total is not None:
-        sp_mean = tz.smul(sp_total, scale)
-        sp_loss = sp_mean.item()
-        grads_sp = tz.backward(sp_mean, m.params)
-    else:
-        sp_loss, grads_sp = float("nan"), dict(zeros)
-    return ac_loss, sp_loss, grads_ac, grads_sp
+    scale = 1.0 / len(batch)
+    return tuple(None if t is None else tz.smul(t, scale) for t in (ac_total, sp_total))
+
+
+def _value(loss: tz.Tensor | None) -> float:
+    return float("nan") if loss is None else loss.item()
+
+
+def compute_gradients(
+    m: ModelGraph,
+    batch: list[Utterance],
+    mode: str,
+    lam: float,
+    rng: RngStream | None = None,
+):
+    """Mean-over-batch losses and their gradients, acoustic and speaker
+    parts kept separate, each from its own backward pass.
+
+    Returns (acoustic_loss, speaker_loss, grads_acoustic, grads_speaker);
+    the loss is nan and the gradient map all-zero for a part that was not
+    computed (speaker part in baseline, acoustic part on speaker-only
+    batches). `step` applies the gradient of their sum.
+    """
+    ac, sp = _batch_losses(m, batch, mode, lam, rng)
+    zeros = {name: np.zeros_like(t.data) for name, t, _ in m.params.items()}
+    grads_ac = zeros if ac is None else tz.backward(ac, m.params)
+    grads_sp = zeros if sp is None else tz.backward(sp, m.params)
+    return _value(ac), _value(sp), grads_ac, grads_sp
 
 
 def step(
@@ -211,11 +213,21 @@ def step(
     rng: RngStream | None = None,
     update_groups: tuple[str, ...] = ("main", "speaker"),
 ):
-    """One SGD step on a batch; returns (acoustic_loss, speaker_loss)."""
-    ac_loss, sp_loss, grads_ac, grads_sp = compute_gradients(m, batch, mode, lam, rng)
-    combined = {name: grads_ac[name] + grads_sp[name] for name in grads_ac}
-    tz.sgd_step(m.params, combined, lr_main, lr_speaker, groups=update_groups)
-    return ac_loss, sp_loss
+    """One SGD step on a batch; returns (acoustic_loss, speaker_loss).
+
+    A step is one objective, acoustic loss + speaker loss, differentiated
+    with one backward pass. The acoustic loss reaches only the `main`
+    group, so a step that leaves `main` alone (phase B) differentiates
+    only the speaker loss.
+    """
+    ac, sp = _batch_losses(m, batch, mode, lam, rng)
+    if ac is not None and sp is not None and "main" in update_groups:
+        objective = tz.add(ac, sp)
+    else:  # one loss only, or phase B, where the acoustic loss reaches no updated group
+        objective = ac if sp is None else sp
+    grads = tz.backward(objective, m.params)
+    tz.sgd_step(m.params, grads, lr_main, lr_speaker, groups=update_groups)
+    return _value(ac), _value(sp)
 
 
 def make_semi_batches(
@@ -252,11 +264,6 @@ class TrainResult:
     best_path: Path | None
     metrics_path: Path | None
     best_dev_ler: float
-
-
-def _phase_plan(cfg: TrainConfig) -> list[str]:
-    plan = ["A"] * cfg.epochs_a + ["B"] * cfg.epochs_b + ["C"] * cfg.epochs_c
-    return plan
 
 
 def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
@@ -296,7 +303,7 @@ def train(
         semi_utts = []
 
     sched = cfg.schedule()
-    plan = _phase_plan(cfg)
+    plan = ["A"] * cfg.epochs_a + ["B"] * cfg.epochs_b + ["C"] * cfg.epochs_c
     shuffle_rng = RngStream(cfg.seed, "train/shuffle")
     dropout_rng = RngStream(cfg.seed, "train/dropout")
     rows: list[MetricsRow] = []
@@ -331,7 +338,7 @@ def train(
             ]
 
         ac_losses, sp_losses = [], []
-        for bi, (kind, batch) in enumerate(batches):
+        for bi, (_, batch) in enumerate(batches):
             try:
                 ac, sp = step(
                     m, batch, cfg.mode, lam, cfg.lr_main, cfg.lr_speaker,
@@ -341,12 +348,10 @@ def train(
                 raise DivergenceError(
                     f"numeric overflow at epoch {epoch} (phase {phase}): {e}"
                 ) from e
-            if kind == "transcribed":
-                if not math.isnan(ac):
-                    ac_losses.append(ac)
-                if not math.isnan(sp):
-                    sp_losses.append(sp)
-            elif not math.isnan(sp):
+            # a speaker-only batch has no acoustic loss: ac is nan there
+            if not math.isnan(ac):
+                ac_losses.append(ac)
+            if not math.isnan(sp):
                 sp_losses.append(sp)
 
         ac_mean = float(np.mean(ac_losses)) if ac_losses else float("nan")

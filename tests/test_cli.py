@@ -437,3 +437,19 @@ def test_eval_exits_2_on_any_wrong_type(eval_inputs, data):
 def test_eval_exits_2_on_wrong_type_examples(eval_inputs, name, lineno, path, swap):
     root, files, _ = eval_inputs
     eval_with_edit(root, files, name, lineno, path, lambda parent, key: parent.__setitem__(key, swap))
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["gen-data", "--config", "{root}/nope.cfg", "--out", "{root}/gen"], "{root}/nope.cfg"),
+        (["probe", "--checkpoints", "m={root}/model.ckpt", "--data", "{root}/nope.train", "--out", "{root}/probe"],
+         "{root}/nope.train"),
+        (["eval", "--checkpoint", "{root}/data", "--data", "{root}/data/synth.dev", "--out", "{root}/ev"], "{root}/data"),
+    ],
+    ids=["gen-data-missing-config", "probe-missing-data", "eval-checkpoint-is-a-directory"],
+)
+def test_unreadable_input_path_exit_2(eval_inputs, capsys, argv, bad):
+    root = eval_inputs[0]
+    assert main([arg.format(root=root) for arg in argv]) == 2
+    assert bad.format(root=root) in capsys.readouterr().err

@@ -175,6 +175,14 @@ def test_grad_scale_forward_identity_backward_scaled():
     np.testing.assert_array_equal(g, [-0.2, -0.2])
 
 
+def test_grad_scale_zero_factor_records_no_parent():
+    # a zero factor passes no gradient, so backward stops at the junction
+    x = tz.Tensor(np.array([1.0, 2.0]), grad_tracked=True)
+    for factor in (0.0, -0.0):
+        y = tz.grad_scale(x, factor)
+        assert not y.grad_tracked and y._parents == () and y._backward is None
+
+
 def test_no_grad_suppresses_recording():
     w = tz.Tensor([1.0], grad_tracked=True)
     with tz.no_grad():

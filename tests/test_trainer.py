@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gradflip import config as cf, data as gd, trainer as tr
+from gradflip import config as cf, data as gd, tensor as tz, trainer as tr
 from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
@@ -169,6 +169,47 @@ def test_speaker_only_batch_zero_grads_on_decoder_and_transitions():
         for n in m.params.group_names("main")
         if n.startswith("stack.") and int(n.split(".")[1]) <= fork
     )
+
+
+def step_cases():
+    """(mode, batch, n_speakers) for every mode, with semi on a transcribed
+    and on a speaker-only batch."""
+    train_ds, semi_ds = tiny_data(semi_speakers=2)
+    semi_batch = [gd.Utterance(u.id, 3 + u.speaker, None, u.features) for u in semi_ds.utterances[:4]]
+    batch = batch_of(train_ds)
+    return [("baseline", batch, 3), ("mt", batch, 3), ("al", batch, 3), ("semi", batch, 5), ("semi", semi_batch, 5)]
+
+
+@pytest.mark.parametrize(
+    "lam,groups",
+    [(0.0, ("main", "speaker")), (0.0, ("speaker",)), (0.3, ("main", "speaker"))],
+    ids=["phase-a", "phase-b", "phase-c"],
+)
+def test_step_runs_one_backward(monkeypatch, lam, groups):
+    calls = []
+    backward = tz.backward
+    monkeypatch.setattr(tz, "backward", lambda *a, **k: calls.append(a) or backward(*a, **k))
+    for mode, batch, n_speakers in step_cases():
+        calls.clear()
+        tr.step(tiny_model(n_speakers=n_speakers, seed=53), batch, mode, lam, 0.05, 0.02, RngStream(4, "d"), groups)
+        assert len(calls) == 1, (mode, len(calls))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_step_applies_the_sum_of_compute_gradients(monkeypatch, lam):
+    # the diagnostic pair of compute_gradients stays faithful to training
+    applied = {}
+    monkeypatch.setattr(tz, "sgd_step", lambda params, grads, *a, **k: applied.update(grads))
+    for mode, batch, n_speakers in step_cases():
+        m = tiny_model(n_speakers=n_speakers, seed=54)
+        _, _, g_ac, g_sp = tr.compute_gradients(m, batch, mode, lam, rng=RngStream(5, "d"))
+        tr.step(m, batch, mode, lam, 0.05, 0.02, RngStream(5, "d"))
+        for name in m.params.names():
+            if lam == 0.0:
+                assert np.array_equal(applied[name], g_ac[name] + g_sp[name]), (mode, name)
+            else:
+                np.testing.assert_allclose(applied[name], g_ac[name] + g_sp[name], rtol=0, atol=1e-12,
+                                           err_msg=f"{mode}:{name}")
 
 
 def test_speaker_only_batch_rejected_outside_semi():
