@@ -17,7 +17,7 @@ import numpy as np
 
 from gradflip import asg, model as gm, tensor as tz
 from gradflip.data import Dataset
-from gradflip.layers import GatedConv, Linear, PoolingConfig, pool
+from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, pool
 from gradflip.model import ModelGraph
 from gradflip.rng import RngStream, stream_seed
 from gradflip.tensor import ParamStore
@@ -56,8 +56,9 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     """Extract layer activations for every utterance (layer 0 = raw input)."""
     m = _as_model(checkpoint)
     items = [
-        (u.id, gm.extract_representation(m, u.features, layer), u.speaker)
-        for u in dataset.utterances
+        (u.id, rep, u.speaker)
+        for chunk in gm._chunks(dataset.utterances)
+        for u, rep in zip(chunk, gm._represent(m, [u.features for u in chunk], layer))
     ]
     return RepDump(
         layer=layer,
@@ -86,9 +87,13 @@ class _Probe:
         )
         self.pooling = dump.pooling
 
-    def logits(self, rep: np.ndarray, mode: str, rng: RngStream | None):
-        h = self.conv.forward(tz.Tensor(rep), mode, rng)
-        return self.out.forward(pool(h, self.pooling))
+    def logits(self, reps: list[np.ndarray], mode: str, rng: RngStream | None):
+        """B x S logits of a packed batch; in train mode every utterance's
+        dropout mask comes from `rng`, in utterance order."""
+        packing = Packing([len(r) for r in reps])
+        streams = None if rng is None else [rng] * len(reps)
+        h = self.conv.forward(tz.Tensor(np.concatenate(reps)), mode, streams, packing)
+        return self.out.forward(pool(h, self.pooling, packing))
 
 
 def _stratified_split(items, rng: RngStream, eval_frac=0.2):
@@ -132,22 +137,17 @@ def train_probe(
     for epoch in range(epochs):
         order = rng.child(f"shuffle{epoch}").permutation(len(train_idx))
         for start in range(0, len(order), batch_size):
-            chunk = [train_idx[i] for i in order[start : start + batch_size]]
-            total = None
-            for i in chunk:
-                _, rep, speaker = dump.items[i]
-                nll = gm.speaker_nll(probe.logits(rep, "train", dropout_rng), speaker)
-                total = nll if total is None else tz.add(total, nll)
-            mean = tz.smul(total, 1.0 / len(chunk))
-            grads = tz.backward(mean, probe.params)
+            chunk = [dump.items[train_idx[i]] for i in order[start : start + batch_size]]
+            logits = probe.logits([rep for _, rep, _ in chunk], "train", dropout_rng)
+            nlls = gm._speaker_nlls(logits, [speaker for _, _, speaker in chunk])
+            grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), probe.params)
             tz.sgd_step(probe.params, grads, lr_main=lr, lr_speaker=lr)
 
     correct = 0
     with tz.no_grad():
-        for i in eval_idx:
-            _, rep, speaker = dump.items[i]
-            pred = int(np.argmax(probe.logits(rep, "eval", None).data))
-            correct += pred == speaker
+        for chunk in gm._chunks([dump.items[i] for i in eval_idx]):
+            logits = probe.logits([rep for _, rep, _ in chunk], "eval", None)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) == [speaker for _, _, speaker in chunk]))
     return correct / len(eval_idx)
 
 
@@ -170,12 +170,6 @@ class EvalResult:
     value: float
     n_scored: int
     n_skipped: int
-
-
-def _decode(m: ModelGraph, features: np.ndarray) -> tuple[int, ...]:
-    with tz.no_grad():
-        em = gm.forward_acoustic(m, features, "eval")
-    return asg.collapse(asg.viterbi_decode(em.data, m.transitions.data))
 
 
 def _words(tokens, separator: int) -> list[tuple[int, ...]]:
@@ -211,17 +205,16 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
     m = _as_model(checkpoint)
     errors = dict.fromkeys(metrics, 0)
     totals = dict.fromkeys(metrics, 0)
-    skipped = scored = 0
-    for u in dataset.utterances:
-        if u.transcript is None:
-            skipped += 1
-            continue
-        hyp = _decode(m, u.features)
-        for name in metrics:
-            err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
-            errors[name] += err
-            totals[name] += n
-        scored += 1
+    transcribed = [u for u in dataset.utterances if u.transcript is not None]
+    for chunk in gm._chunks(transcribed):
+        packing, em, _ = gm._eval_packed(m, [u.features for u in chunk])
+        for u, path in zip(chunk, asg._viterbi(em.data, m.transitions.data, packing)):
+            hyp = asg.collapse(path)
+            for name in metrics:
+                err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
+                errors[name] += err
+                totals[name] += n
+    scored, skipped = len(transcribed), len(dataset.utterances) - len(transcribed)
     if any(n == 0 for n in totals.values()):
         raise ValueError("dataset has no transcribed utterances to score")
     return {name: EvalResult(errors[name] / totals[name], scored, skipped) for name in metrics}

@@ -6,21 +6,27 @@ K x K transition score matrix:
     loss = logadd over all K^T frame paths
          - logadd over the monotone alignments of the target
 
-Each score is the log-add over the paths of a state graph, taken by one
-numpy forward-backward recursion recorded on the tape as one node: the
-alpha pass gives the score, the beta pass the state and edge posteriors
-that are its gradients. The full graph's states are the K tokens, the
-constrained graph's the N target positions joined by stay and move edges.
-Targets have no adjacent duplicates (no repetition tokens are used).
+Each score is the log-add over the paths of a state graph. The full
+graph's states are the K tokens, the constrained graph's the N target
+positions joined by stay and move edges. Targets have no adjacent
+duplicates (no repetition tokens are used). The loss of a packed batch
+(`layers.Packing`) is one tape node: one numpy forward-backward recursion
+runs over both graphs of every utterance, padded to a common length and
+state count. The alpha pass gives the scores, the beta pass the state
+and edge posteriors that are their gradients. Viterbi decoding shares
+the forward sweep, with max in place of logadd. A lone utterance is the
+batch of one.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from gradflip import tensor as tz
+from gradflip.layers import Packing
 from gradflip.tensor import Tensor
 
 __all__ = [
@@ -52,80 +58,184 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def _graph_logadd(op, emissions, transitions, em, tr, start, end, scatter) -> Tensor:
-    """One tape node: the log-add score of all paths through a state graph.
+def _padded(frames: np.ndarray, packing: Packing) -> np.ndarray:
+    """(B, T_max, X) frames of each packed utterance, -inf past its end, so
+    that no path of an utterance continues into the padding."""
+    return np.concatenate([frames, np.full((1,) + frames.shape[1:], -np.inf)])[packing.grid()]
 
-    em (T, S) scores state s at frame t, tr (S, S) the edge i -> j, start
-    and end (S,) the first and last state (0 or -inf). `scatter` maps state
-    posteriors (T, S) and frame-summed edge posteriors (S, S) to gradients
-    of `emissions` and `transitions`. numpy stays quiet: the node's check
-    rejects the non-finite score of a diverging input.
+
+def _sweep(em: np.ndarray, tr: np.ndarray, best: bool = False):
+    """Forward recursion over the full graph of each utterance, em (B, T, K):
+
+        alpha_t(i) = em_t(i) + op_j(alpha_{t-1}(j) + tr(j, i))
+
+    with op = logadd, or with best = max, which also returns the backpointers
+    (ties go to the lowest source token)."""
+    alpha = np.empty_like(em)
+    alpha[:, 0] = em[:, 0]
+    back = np.zeros(em.shape, dtype=np.int64) if best else None
+    for t in range(1, em.shape[1]):
+        cand = alpha[:, t - 1, :, None] + tr  # cand[b, j, i]: arrive at i from j
+        if best:
+            back[:, t] = np.argmax(cand, axis=1)  # first max = lowest source index
+            alpha[:, t] = em[:, t] + np.take_along_axis(cand, back[:, t, None], axis=1)[:, 0]
+        else:
+            alpha[:, t] = em[:, t] + _logsumexp(cand, axis=1)
+    return alpha, back
+
+
+def _full_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray):
+    """Log-add score of all paths of each utterance, em (B, T, K) padded with
+    -inf past frame final[b]. Returns the scores (B,) and a function of the
+    per-utterance upstream gradient giving the gradients of em and tr."""
+    alpha, _ = _sweep(em, tr)
+    log_z = _logsumexp(alpha[np.arange(len(final)), final], axis=1)
+
+    def grads(scale):
+        beta = np.zeros_like(em)
+        for t in range(em.shape[1] - 1, 0, -1):
+            into = _logsumexp(tr + (em[:, t] + beta[:, t])[:, None, :], axis=2)
+            beta[:, t - 1] = np.where((t - 1 >= final)[:, None], 0.0, into)
+        z, scale = log_z[:, None, None], scale[:, None, None]
+        states = np.exp(alpha + beta - z) * scale
+        edges = np.exp(alpha[:, :-1, :, None] + tr + (em[:, 1:] + beta[:, 1:] - z)[:, :, None, :])
+        return states, (edges * scale[:, None]).sum(axis=(0, 1))
+
+    return log_z, grads
+
+
+def _target_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray, targets):
+    """Log-add score of the monotone alignments of each target, em (B, T, K)
+    padded as for `_full_graph`, which it matches in what it returns.
+
+    States are target positions n, with a stay edge n -> n and a move edge
+    n-1 -> n, so a forward step is the log-add of two terms:
+
+        alpha_t(n) = f_t(y_n) + logadd(alpha_{t-1}(n)   + g(y_n, y_n),
+                                       alpha_{t-1}(n-1) + g(y_{n-1}, y_n))
+
+    Paths start at position 1 and end at position N. Targets are padded to
+    the longest with positions no edge reaches, whose alpha stays -inf.
     """
+    k = em.shape[2]
+    ys = [validate_target(y, k, n + 1) for y, n in zip(targets, final)]
+    n_pos = np.array([len(y) for y in ys])[:, None]
+    y = np.zeros((len(ys), n_pos.max()), dtype=np.int64)
+    for b, yb in enumerate(ys):
+        y[b, : len(yb)] = yb
+    pos = np.arange(y.shape[1])
+    y_prev = np.concatenate([y[:, :1], y[:, :-1]], axis=1)
+    stay = np.where(pos < n_pos, tr[y, y], -np.inf)
+    move = np.where((pos > 0) & (pos < n_pos), tr[y_prev, y], -np.inf)
+    f = em[np.arange(len(ys))[:, None, None], np.arange(em.shape[1])[None, :, None], y[:, None, :]]
+    end = np.where(pos == n_pos - 1, 0.0, -np.inf)
+
+    def later(a):  # a[..., n+1] at n
+        return np.concatenate([a[..., 1:], np.full(a.shape[:-1] + (1,), -np.inf)], axis=-1)
+
+    def earlier(a):  # a[..., n-1] at n
+        return np.concatenate([np.full(a.shape[:-1] + (1,), -np.inf), a[..., :-1]], axis=-1)
+
+    alpha = np.empty_like(f)
+    alpha[:, 0] = np.where(pos == 0, f[:, 0], -np.inf)
+    for t in range(1, f.shape[1]):
+        alpha[:, t] = f[:, t] + np.logaddexp(alpha[:, t - 1] + stay, earlier(alpha[:, t - 1]) + move)
+    log_z = _logsumexp(alpha[np.arange(len(ys)), final] + end, axis=1)
+
+    def grads(scale):
+        beta = np.empty_like(f)
+        beta[:, -1] = end
+        for t in range(f.shape[1] - 1, 0, -1):
+            ahead = f[:, t] + beta[:, t]
+            into = np.logaddexp(stay + ahead, later(move + ahead))
+            beta[:, t - 1] = np.where((t - 1 >= final)[:, None], end, into)
+        z, scale = log_z[:, None, None], scale[:, None, None]
+        states = np.exp(alpha + beta - z) * scale
+        ahead = f[:, 1:] + beta[:, 1:] - z
+        stays = (np.exp(alpha[:, :-1] + stay[:, None] + ahead) * scale).sum(axis=1)
+        moves = (np.exp(earlier(alpha[:, :-1]) + move[:, None] + ahead) * scale).sum(axis=1)
+        # tokens repeat within a target, so several positions share a column
+        rows = np.arange(f.shape[0] * f.shape[1]).reshape(f.shape[:2])
+        em_grad = np.bincount((rows[:, :, None] * k + y[:, None, :]).reshape(-1), weights=states.reshape(-1),
+                              minlength=em.size).reshape(em.shape)
+        tr_grad = np.bincount(np.concatenate([(y * k + y).reshape(-1), (y_prev * k + y).reshape(-1)]),
+                              weights=np.concatenate([stays.reshape(-1), moves.reshape(-1)]), minlength=k * k)
+        return em_grad, tr_grad.reshape(k, k)
+
+    return log_z, grads
+
+
+def _scores(op, emissions: Tensor, transitions: Tensor, packing: Packing, graphs, shape) -> Tensor:
+    """One tape node: per utterance of a packed batch, the signed sum of its
+    graph scores. `graphs` holds (sign, graph) pairs, a graph being
+    `_full_graph` or `_target_graph` with the targets bound.
+
+    Each graph runs as one forward-backward recursion over the batch,
+    padded to its longest utterance. The alpha pass gives the scores; the
+    beta pass gives the state and edge posteriors, which are the gradients.
+    numpy stays quiet: the node's check rejects the non-finite score of a
+    diverging input.
+    """
+    k = emissions.shape[1]
+    if transitions.shape != (k, k):
+        raise tz.ShapeMismatch(f"transitions {transitions.shape} do not match K={k}")
+    em, tr, final = _padded(emissions.data, packing), transitions.data, packing.lengths - 1
     with np.errstate(all="ignore"):
-        alpha = np.empty_like(em)
-        alpha[0] = em[0] + start
-        for t in range(1, len(em)):
-            alpha[t] = em[t] + _logsumexp(alpha[t - 1][:, None] + tr, axis=0)
-        log_z = _logsumexp(alpha[-1] + end, axis=0)
+        parts = [(sign, *graph(em, tr, final)) for sign, graph in graphs]
 
     def bw(g, grads):
         with np.errstate(all="ignore"):
-            beta = np.empty_like(em)
-            beta[-1] = end
-            for t in range(len(em) - 1, 0, -1):
-                beta[t - 1] = _logsumexp(tr + em[t] + beta[t], axis=1)
-            states = np.exp(alpha + beta - log_z)
-            edges = np.exp(alpha[:-1, :, None] + tr + (em[1:] + beta[1:])[:, None, :] - log_z).sum(axis=0)
-            em_grad, tr_grad = scatter(states, edges)
-        tz._acc(grads, emissions, g * em_grad)
-        tz._acc(grads, transitions, g * tr_grad)
+            em_grad, tr_grad = map(sum, zip(*(graph_grads(sign * g.reshape(-1)) for sign, _, graph_grads in parts)))
+        tz._acc(grads, emissions, em_grad[packing.segment, packing.offset])
+        tz._acc(grads, transitions, tr_grad)
 
-    return tz._node(np.reshape(log_z, (1, 1)), op, (emissions, transitions), bw)
+    value = sum(sign * log_z for sign, log_z, _ in parts)
+    return tz._node(np.reshape(value, shape), op, (emissions, transitions), bw)
+
+
+def _asg_losses(emissions: Tensor, transitions: Tensor, targets, packing: Packing, shape=None) -> Tensor:
+    """ASG loss of every utterance of a packed batch, (B,), as one tape node."""
+    graphs = [(1.0, _full_graph), (-1.0, partial(_target_graph, targets=targets))]
+    return _scores("asg_loss", emissions, transitions, packing, graphs, shape or (len(packing),))
 
 
 def full_logadd(emissions: Tensor, transitions: Tensor) -> Tensor:
     """log-add score of all K^T paths: beta_t(i) = f_t(i) + logadd_j(beta_{t-1}(j) + g(j,i))."""
-    t_len, k = emissions.shape
-    if transitions.shape != (k, k):
-        raise tz.ShapeMismatch(f"transitions {transitions.shape} do not match K={k}")
-    return _graph_logadd("full_logadd", emissions, transitions, emissions.data, transitions.data,
-                         np.zeros(k), np.zeros(k), lambda states, edges: (states, edges))
+    packing = Packing((emissions.shape[0],))
+    return _scores("full_logadd", emissions, transitions, packing, [(1.0, _full_graph)], (1, 1))
 
 
 def constrained_logadd(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> Tensor:
-    """log-add score of every monotone alignment of the target.
-
-    alpha_t(n) = f_t(y_n) + logadd(alpha_{t-1}(n)   + g(y_n, y_n),
-                                   alpha_{t-1}(n-1) + g(y_{n-1}, y_n))
-
-    Paths start at position 1 and end at position N; every other edge
-    scores -inf, so states no path reaches keep alpha = -inf.
-    """
-    t_len, k = emissions.shape
-    y = np.array(validate_target(target, k, t_len))
-    pos = np.arange(len(y))
-    edge = np.isin(pos[None, :] - pos[:, None], (0, 1))  # stay (n -> n) or move (n -> n+1)
-    tr = np.where(edge, transitions.data[y[:, None], y[None, :]], -np.inf)
-
-    def scatter(states, edges):
-        # tokens repeat within a target, so several positions share a column
-        em_grad, tr_grad = np.zeros((t_len, k)), np.zeros((k, k))
-        np.add.at(em_grad, (slice(None), y), states)
-        np.add.at(tr_grad, (y[:, None], y[None, :]), edges)
-        return em_grad, tr_grad
-
-    first, last = np.where(pos == 0, 0.0, -np.inf), np.where(pos == len(y) - 1, 0.0, -np.inf)
-    return _graph_logadd("constrained_logadd", emissions, transitions, emissions.data[:, y], tr,
-                         first, last, scatter)
+    """log-add score of every monotone alignment of the target (see `_target_graph`)."""
+    packing = Packing((emissions.shape[0],))
+    graphs = [(1.0, partial(_target_graph, targets=[target]))]
+    return _scores("constrained_logadd", emissions, transitions, packing, graphs, (1, 1))
 
 
 def asg_loss(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> Tensor:
     """ASG loss = full_logadd - constrained_logadd; non-negative scalar."""
-    return tz.sub(full_logadd(emissions, transitions), constrained_logadd(emissions, transitions, target))
+    return _asg_losses(emissions, transitions, [target], Packing((emissions.shape[0],)), (1, 1))
 
 
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _viterbi(em: np.ndarray, tr: np.ndarray, packing: Packing) -> list[np.ndarray]:
+    """Best-scoring full-graph path of each utterance of a packed batch:
+    the forward sweep with max in place of logadd, then a backtrack from
+    each utterance's own last frame."""
+    last = packing.lengths - 1
+    rows = np.arange(len(last))
+    delta, back = _sweep(_padded(em, packing), tr, best=True)
+    final = np.argmax(delta[rows, last], axis=1)
+    paths = np.zeros(delta.shape[:2], dtype=np.int64)
+    state = final
+    for t in range(delta.shape[1] - 1, -1, -1):
+        state = np.where(last == t, final, state)  # utterances ending at t start here
+        paths[:, t] = state
+        state = back[rows, t, state]
+    return [p[:n] for p, n in zip(paths, packing.lengths)]
 
 
 def viterbi_decode(emissions, transitions) -> np.ndarray:
@@ -135,22 +245,9 @@ def viterbi_decode(emissions, transitions) -> np.ndarray:
     deterministic.
     """
     em = _as_array(emissions)
-    tr = _as_array(transitions)
-    t_len, k = em.shape
-    if t_len < 1:
+    if em.shape[0] < 1:
         raise ValueError("viterbi_decode: need at least one frame")
-    delta = em[0].copy()
-    back = np.zeros((t_len, k), dtype=np.int64)
-    for t in range(1, t_len):
-        cand = delta[:, None] + tr  # cand[j, i]: arrive at i from j
-        best_j = np.argmax(cand, axis=0)  # first max = lowest source index
-        back[t] = best_j
-        delta = em[t] + cand[best_j, np.arange(k)]
-    path = np.zeros(t_len, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+    return _viterbi(em, _as_array(transitions), Packing((em.shape[0],)))[0]
 
 
 def path_score(emissions, transitions, path: Sequence[int]) -> float:

@@ -319,6 +319,8 @@ def load_dataset(path) -> Dataset:
             features = None
         if features is None or features.ndim != 2 or not len(features) or features.shape[1] != dim:
             fail(lineno, f"frames must be a non-empty list of rows of dim={dim} numbers")
+        if not np.all(np.isfinite(features)):  # JSON NaN, Infinity or an overflowing literal
+            fail(lineno, "key 'frames' must hold finite numbers")
         speaker = rec["speaker"]
         if not (0 <= speaker < len(speakers)):
             fail(lineno, f"speaker label {speaker} outside table of {len(speakers)}")

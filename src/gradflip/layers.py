@@ -4,7 +4,9 @@
 weight normalization, inverted dropout, temporal pooling (sum / max /
 LogSumExp) and the gradient-scaling junction that couples the speaker
 branch to the encoder. Everything is a pure function over tensors; the
-two small layer classes just own weight-normalized parameters.
+two small layer classes just own weight-normalized parameters. Layers
+take a packed batch (`Packing`): utterances stacked along time, with no
+tap, mask or pooled value crossing from one utterance into another.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from gradflip.rng import RngStream
 from gradflip.tensor import Tensor, grad_scale  # re-export: grad_scale lives on the tape
 
 __all__ = [
-    "PoolingConfig", "conv1d", "glu", "weight_norm", "dropout",
+    "PoolingConfig", "Packing", "conv1d", "glu", "weight_norm", "dropout",
     "pool", "grad_scale", "GatedConv", "Linear",
 ]
 
@@ -44,9 +46,66 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int) -> Tensor:
+class Packing:
+    """Row layout of a packed batch: B utterances stacked along time in one
+    (T_1 + ... + T_B) x C array, utterance b owning rows starts[b]:ends[b].
+    A lone utterance is the batch of one."""
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        if self.lengths.ndim != 1 or not len(self.lengths) or self.lengths.min() < 1:
+            raise tz.ShapeMismatch(f"a packed batch needs lengths >= 1, got {list(self.lengths)}")
+        self.ends = np.cumsum(self.lengths)
+        self.starts = self.ends - self.lengths
+        self.rows = int(self.ends[-1])
+        self.segment = np.repeat(np.arange(len(self.lengths)), self.lengths)  # row -> utterance
+        self.offset = np.arange(self.rows) - self.starts[self.segment]  # row -> frame in it
+        self._cache: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def taps(self, width: int) -> np.ndarray:
+        """(rows, width) source row of each tap of a centred width-`width`
+        kernel; a tap outside its own utterance reads row `rows` (zeros)."""
+        key = ("taps", width)
+        if key not in self._cache:
+            shift = np.arange(width) - (width - 1) // 2
+            frame = self.offset[:, None] + shift
+            inside = (frame >= 0) & (frame < self.lengths[self.segment][:, None])
+            self._cache[key] = np.where(inside, np.arange(self.rows)[:, None] + shift, self.rows)
+        return self._cache[key]
+
+    def grid(self, repeat_first: bool = False) -> np.ndarray:
+        """(B, T_max) row of frame t of utterance b. Slots past an utterance's
+        end read row `rows` (zeros), or with repeat_first its first frame."""
+        key = ("grid", repeat_first)
+        if key not in self._cache:
+            fill = self.starts[:, None] if repeat_first else self.rows
+            idx = np.broadcast_to(fill, (len(self), int(self.lengths.max()))).copy()
+            idx[self.segment, self.offset] = np.arange(self.rows)
+            self._cache[key] = idx
+        return self._cache[key]
+
+    def split(self, arr: np.ndarray) -> list[np.ndarray]:
+        """Per-utterance row blocks of a packed array."""
+        return np.split(arr, self.ends[:-1])
+
+
+def _packing(x: Tensor, packing: Packing | None) -> Packing:
+    if packing is None:
+        return Packing((x.shape[0],))
+    if packing.rows != x.shape[0]:
+        raise tz.ShapeMismatch(f"packed batch of {packing.rows} rows, input has {x.shape[0]}")
+    return packing
+
+
+def conv1d(
+    x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int, packing: Packing | None = None
+) -> Tensor:
     """Stride-1 1D convolution over a T x C_in input, zero padded so the
-    output keeps length T.
+    output keeps length T. Each utterance of a packed batch is convolved on
+    its own: a tap that leaves its utterance reads zeros.
 
     weight has shape (kernel_width * C_in, C_out), rows ordered tap-major:
     row w * C_in + c is tap w (leftmost first) of input channel c.
@@ -58,17 +117,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int) -> Tensor
         raise tz.ShapeMismatch(
             f"conv1d: weight rows {weight.shape[0]} != kernel_width*C_in {kernel_width * c_in}"
         )
-    pad = (kernel_width - 1) // 2
-    if pad:
-        zeros = Tensor(np.zeros((pad, c_in)))
-        xp = tz.concat([zeros, x, zeros], axis=0)
-    else:
-        xp = x
-    if kernel_width == 1:
-        unfolded = xp
-    else:
-        taps = [tz.slice_axis(xp, 0, w, w + t_len) for w in range(kernel_width)]
-        unfolded = tz.concat(taps, axis=1)
+    taps = _packing(x, packing).taps(kernel_width)
+    unfolded = tz.reshape(tz.take_rows(x, taps), (t_len, kernel_width * c_in))
     return tz.matmul(unfolded, weight) + bias
 
 
@@ -93,8 +143,14 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return tz.mul(v, tz.mul(g, tz.pow_scalar(sumsq, -0.5)))
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: RngStream | None = None) -> Tensor:
-    """Inverted dropout: surviving units scaled by 1/(1-rate). Identity in eval mode."""
+def dropout(
+    x: Tensor, rate: float, mode: str, rng=None, packing: Packing | None = None
+) -> Tensor:
+    """Inverted dropout: surviving units scaled by 1/(1-rate). Identity in eval mode.
+
+    rng is one RngStream, or for a packed batch one stream per utterance,
+    each drawing that utterance's T_b x C mask (a stream may repeat).
+    """
     _check_mode(mode)
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -102,28 +158,37 @@ def dropout(x: Tensor, rate: float, mode: str, rng: RngStream | None = None) -> 
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an RngStream")
-    mask = (rng.uniform(size=x.shape) >= rate) / (1.0 - rate)
-    return tz.mul(x, Tensor(mask))
+    if packing is None:
+        draws = rng.uniform(size=x.shape)
+    else:
+        draws = np.concatenate([r.uniform(size=(n, x.shape[1])) for r, n in zip(rng, packing.lengths)])
+    return tz.mul(x, Tensor((draws >= rate) / (1.0 - rate)))
 
 
-def pool(r: Tensor, cfg: PoolingConfig) -> Tensor:
-    """Aggregate an L x C representation over time into a C-vector.
+def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tensor:
+    """Aggregate an L x C representation over time into a C-vector, or each
+    utterance of a packed batch into a row of a B x C matrix.
 
     LogSumExp pooling computes (1/tau) * log((1/L) * sum_t exp(tau * r_t));
     the max is factored out before exponentiation, which keeps it exact on
-    constant sequences and overflow-free everywhere.
+    constant sequences and overflow-free everywhere. Utterances are padded
+    to a common length for the reductions: with zeros for sums, with their
+    first frame for maxima (a copy never changes a max and loses every tie).
     """
     if r.data.ndim != 2 or r.shape[0] < 1:
         raise tz.ShapeMismatch(f"pool: input must be L x C with L >= 1, got {r.shape}")
+    seg = _packing(r, packing)
     if cfg.kind == "sum":
-        return tz.sum_reduce(r, axis=0)
-    if cfg.kind == "max":
-        return tz.max_reduce(r, axis=0)
-    length = r.shape[0]
-    m = tz.max_reduce(r, axis=0, keepdims=True)
-    z = tz.smul(tz.sub(r, m), cfg.tau)
-    mean_exp = tz.smul(tz.sum_reduce(tz.exp(z), axis=0), 1.0 / length)
-    return tz.add(tz.reshape(m, (r.shape[1],)), tz.smul(tz.log(mean_exp), 1.0 / cfg.tau))
+        out = tz.sum_reduce(tz.take_rows(r, seg.grid()), axis=1)
+    elif cfg.kind == "max":
+        out = tz.max_reduce(tz.take_rows(r, seg.grid(repeat_first=True)), axis=1)
+    else:
+        m = tz.max_reduce(tz.take_rows(r, seg.grid(repeat_first=True)), axis=1)
+        z = tz.smul(tz.sub(r, tz.take_rows(m, seg.segment)), cfg.tau)
+        total = tz.sum_reduce(tz.take_rows(tz.exp(z), seg.grid()), axis=1)
+        mean_exp = tz.mul(total, Tensor(1.0 / seg.lengths[:, None]))
+        out = tz.add(m, tz.smul(tz.log(mean_exp), 1.0 / cfg.tau))
+    return out if packing is not None else tz.reshape(out, (r.shape[1],))
 
 
 def _init_uniform(rng: RngStream, fan_in: int, kernel_width: int, shape) -> np.ndarray:
@@ -184,10 +249,11 @@ class GatedConv:
         self.g = store.add(f"{prefix}.g", Tensor(norms), group)
         self.b = store.add(f"{prefix}.b", Tensor(np.zeros(2 * out_channels)), group)
 
-    def forward(self, x: Tensor, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
+    def forward(self, x: Tensor, mode: str = "eval", rng=None, packing: Packing | None = None) -> Tensor:
+        """rng as for `dropout`: one stream, or one per utterance of a packed batch."""
         w = weight_norm(self.v, self.g)
-        h = glu(conv1d(x, w, self.b, self.kernel_width))
-        return dropout(h, self.dropout_rate, mode, rng)
+        h = glu(conv1d(x, w, self.b, self.kernel_width, packing))
+        return dropout(h, self.dropout_rate, mode, rng, packing)
 
 
 class Linear:
@@ -211,7 +277,5 @@ class Linear:
         self.b = store.add(f"{prefix}.b", Tensor(np.zeros(out_features)), group)
 
     def forward(self, x: Tensor) -> Tensor:
-        w = weight_norm(self.v, self.g)
-        if x.data.ndim == 1:
-            return tz.reshape(tz.matmul(tz.reshape(x, (1, x.shape[0])), w), (w.shape[1],)) + self.b
-        return tz.matmul(x, w) + self.b
+        """Rows of x (N x in_features) mapped to N x out_features."""
+        return tz.matmul(x, weight_norm(self.v, self.g)) + self.b

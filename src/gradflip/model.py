@@ -6,7 +6,9 @@ projection to the vocabulary form the transcription decoder. The speaker
 branch taps the fork representation through a gradient-scaling junction,
 applies one gated conv, pools over time, and projects to speaker logits.
 Encoder, decoder and the ASG transition matrix carry parameter group
-`main`; everything in the branch carries group `speaker`.
+`main`; everything in the branch carries group `speaker`. One forward
+pass over a packed batch serves training, evaluation and probing; the
+per-utterance functions are its batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from gradflip import tensor as tz
 from gradflip.data import check_keys
-from gradflip.layers import GatedConv, Linear, PoolingConfig, grad_scale, pool
+from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, grad_scale, pool
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore, Tensor
 
@@ -138,44 +140,72 @@ def _check_input(m: ModelGraph, x) -> Tensor:
     return xt
 
 
-def _layer_rng(rng: RngStream | None, mode: str, label: str) -> RngStream | None:
+def _pack(m: ModelGraph, xs) -> tuple[Tensor, Packing]:
+    """Stack utterances' frames along time; a lone tensor is kept as is,
+    so gradients still reach it."""
+    ts = [_check_input(m, x) for x in xs]
+    x = ts[0] if len(ts) == 1 else Tensor(np.concatenate([t.data for t in ts]))
+    return x, Packing([t.shape[0] for t in ts])
+
+
+def _layer_rngs(rngs, mode: str, label: str):
     # per-layer streams keep a layer's dropout mask independent of whether
     # the speaker branch is evaluated in the same pass
-    if rng is None or mode != "train":
+    if rngs is None or mode != "train":
         return None
-    return rng.child(label)
+    return [r.child(label) for r in rngs]
 
 
-def _run_stack(
-    m: ModelGraph, x: Tensor, upto: int, mode: str, rng: RngStream | None, start: int = 0
-) -> Tensor:
+def _run_stack(m: ModelGraph, x: Tensor, upto: int, mode: str, rngs, start: int = 0, packing=None) -> Tensor:
     h = x
     for i in range(start, upto):
-        h = m.stack[i].forward(h, mode, _layer_rng(rng, mode, f"stack{i + 1}"))
+        h = m.stack[i].forward(h, mode, _layer_rngs(rngs, mode, f"stack{i + 1}"), packing)
     return h
+
+
+def _forward_packed(
+    m: ModelGraph, x: Tensor, packing: Packing, factor: float, mode: str, rngs,
+    acoustic: bool = True, speaker: bool = True, encoder_grad: bool = True,
+):
+    """The model's one forward pass, over a packed batch: (emissions, speaker
+    logits), ((sum T_b) x K, B x S), each None unless asked for.
+
+    rngs holds one stream per utterance (train mode). The encoder below the
+    fork runs once, so gradients from both heads accumulate on the same
+    nodes. With encoder_grad False the encoder and head record no tape.
+    """
+    with tz.no_grad(not encoder_grad):
+        r_fork = _run_stack(m, x, m.cfg.fork_layer, mode, rngs, packing=packing)
+        emissions = None
+        if acoustic:
+            h = _run_stack(m, r_fork, m.cfg.n_layers, mode, rngs, m.cfg.fork_layer, packing)
+            emissions = m.out.forward(h)
+    logits = None
+    if speaker:
+        h = grad_scale(r_fork, factor)
+        h = m.branch_conv.forward(h, mode, _layer_rngs(rngs, mode, "spk"), packing)
+        logits = m.branch_out.forward(pool(h, m.cfg.pooling, packing))
+    return emissions, logits
+
+
+def _forward_one(m: ModelGraph, x, factor, mode, rng, acoustic, speaker):
+    xt, packing = _pack(m, [x])
+    em, logits = _forward_packed(m, xt, packing, factor, mode, None if rng is None else [rng], acoustic, speaker)
+    if logits is not None:
+        logits = tz.reshape(logits, (m.cfg.n_speakers,))
+    return em, logits
 
 
 def forward_acoustic(m: ModelGraph, x, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
     """Per-frame vocabulary scores (T x K); the speaker branch stays untouched."""
-    xt = _check_input(m, x)
-    h = _run_stack(m, xt, m.cfg.n_layers, mode, rng)
-    return m.out.forward(h)
+    return _forward_one(m, x, 0.0, mode, rng, True, False)[0]
 
 
 def forward_speaker(
     m: ModelGraph, x, factor: float, mode: str = "eval", rng: RngStream | None = None
 ) -> Tensor:
     """Speaker logits (S,). Gradients entering the encoder are scaled by factor."""
-    xt = _check_input(m, x)
-    r_fork = _run_stack(m, xt, m.cfg.fork_layer, mode, rng)
-    return _branch_head(m, r_fork, factor, mode, rng)
-
-
-def _branch_head(m: ModelGraph, r_fork: Tensor, factor: float, mode: str, rng) -> Tensor:
-    h = grad_scale(r_fork, factor)
-    h = m.branch_conv.forward(h, mode, _layer_rng(rng, mode, "spk"))
-    pooled = pool(h, m.cfg.pooling)
-    return m.branch_out.forward(pooled)
+    return _forward_one(m, x, factor, mode, rng, False, True)[1]
 
 
 def forward_joint(
@@ -186,31 +216,54 @@ def forward_joint(
     The encoder below the fork is evaluated once, so gradients from both
     heads accumulate on the same nodes.
     """
-    xt = _check_input(m, x)
-    r_fork = _run_stack(m, xt, m.cfg.fork_layer, mode, rng)
-    h = _run_stack(m, r_fork, m.cfg.n_layers, mode, rng, start=m.cfg.fork_layer)
-    emissions = m.out.forward(h)
-    logits = _branch_head(m, r_fork, factor, mode, rng)
-    return emissions, logits
+    return _forward_one(m, x, factor, mode, rng, True, True)
+
+
+# utterances per eval-mode forward; a whole split at once would hold all
+# of its activations in memory together
+EVAL_CHUNK = 16
+
+
+def _chunks(items: list) -> list[list]:
+    return [items[i : i + EVAL_CHUNK] for i in range(0, len(items), EVAL_CHUNK)]
+
+
+def _eval_packed(m: ModelGraph, xs, acoustic: bool = True, speaker: bool = False):
+    """Eval-mode (packing, emissions, logits) of a list of inputs, no tape."""
+    x, packing = _pack(m, xs)
+    with tz.no_grad():
+        return (packing, *_forward_packed(m, x, packing, 0.0, "eval", None, acoustic, speaker))
+
+
+def _represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
+    """Eval-mode activations of each input after the given block."""
+    if not (0 <= layer <= m.cfg.n_layers):
+        raise ValueError(f"layer {layer} outside [0, {m.cfg.n_layers}]")
+    x, packing = _pack(m, xs)
+    with tz.no_grad():
+        h = _run_stack(m, x, layer, "eval", None, packing=packing)
+    return [a.copy() for a in packing.split(h.data)]
 
 
 def extract_representation(m: ModelGraph, x, layer: int) -> np.ndarray:
     """Eval-mode activations after the given gated-conv block (layer 0 = input)."""
-    if not (0 <= layer <= m.cfg.n_layers):
-        raise ValueError(f"layer {layer} outside [0, {m.cfg.n_layers}]")
-    xt = _check_input(m, x)
-    with tz.no_grad():
-        return _run_stack(m, xt, layer, "eval", None).data.copy()
+    return _represent(m, [x], layer)[0]
+
+
+def _speaker_nlls(logits: Tensor, speakers) -> Tensor:
+    """(B,) negative log likelihoods of each row's speaker under log-softmax logits."""
+    one_hot = np.zeros(logits.shape)
+    for b, s in enumerate(speakers):
+        s = int(s)
+        if not (0 <= s < logits.shape[1]):
+            raise ValueError(f"speaker {s} outside logits of size {logits.shape[1]}")
+        one_hot[b, s] = 1.0
+    return tz.sub(tz.logsumexp(logits, axis=1), tz.sum_reduce(tz.mul(logits, Tensor(one_hot)), axis=1))
 
 
 def speaker_nll(logits: Tensor, speaker: int) -> Tensor:
     """Negative log likelihood of the target speaker under log-softmax logits."""
-    s = int(speaker)
-    if not (0 <= s < logits.shape[0]):
-        raise ValueError(f"speaker {s} outside logits of size {logits.shape[0]}")
-    lse = tz.logsumexp(tz.reshape(logits, (1, logits.shape[0])), axis=1, keepdims=True)
-    picked = tz.slice_axis(tz.reshape(logits, (1, logits.shape[0])), 1, s, s + 1)
-    return tz.sub(lse, picked)
+    return tz.reshape(_speaker_nlls(tz.reshape(logits, (1, logits.shape[0])), [speaker]), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,5 +316,7 @@ def load_checkpoint(path) -> ModelGraph:
             raise ValueError(
                 f"{path}: checkpoint parameter {name}: 'values' must hold {t.size} numbers"
             ) from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: checkpoint parameter {name}: 'values' must be finite numbers")
         np.copyto(t.data, values)
     return m

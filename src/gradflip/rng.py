@@ -25,8 +25,15 @@ class RngStream:
     def __init__(self, seed: int, stream: str):
         self.seed = int(seed)
         self.stream = stream
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, stream_seed(seed, stream)]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        # built on the first draw: a stream that only derives children never needs one
+        if self._generator is None:
+            entropy = [self.seed & 0xFFFFFFFFFFFFFFFF, stream_seed(self.seed, self.stream)]
+            self._generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        return self._generator
 
     def child(self, label: str) -> "RngStream":
         return RngStream(self.seed, f"{self.stream}/{label}")

@@ -33,12 +33,17 @@ _grad_enabled = True
 
 
 class no_grad:
-    """Disables graph recording inside a with-block (inference mode)."""
+    """Disables graph recording inside a with-block (inference mode);
+    `no_grad(False)` leaves recording as it is."""
+
+    def __init__(self, active: bool = True):
+        self.active = active
 
     def __enter__(self):
         global _grad_enabled
         self._saved = _grad_enabled
-        _grad_enabled = False
+        if self.active:
+            _grad_enabled = False
 
     def __exit__(self, *exc):
         global _grad_enabled
@@ -215,8 +220,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(grads, b, a.data.T @ g)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a.data @ b.data
+        out = _row_blocked_product(a.data, b.data)
     return _node(out, "matmul", (a, b), bw)
+
+
+# rows per BLAS call in a product's forward pass
+ROW_BLOCK = 128
+
+
+def _row_blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, as BLAS calls on blocks of exactly ROW_BLOCK rows of a (the
+    last one padded with zero rows).
+
+    BLAS picks its kernel by the operand sizes, and kernels round
+    differently; with one call size a row's product no longer depends on
+    how many other rows it is multiplied with, so an utterance gets the
+    same bits alone and inside a packed batch."""
+    rows = a.shape[0]
+    full = rows - rows % ROW_BLOCK
+    out = np.empty((rows, b.shape[1]))
+    for i in range(0, full, ROW_BLOCK):
+        np.matmul(a[i : i + ROW_BLOCK], b, out=out[i : i + ROW_BLOCK])
+    if full < rows:
+        tail = np.zeros((ROW_BLOCK, a.shape[1]))
+        tail[: rows - full] = a[full:]
+        out[full:] = (tail @ b)[: rows - full]
+    return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -325,6 +354,24 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         _acc(grads, a, full)
 
     return _node(a.data[index], "slice_axis", (a,), bw, check=False)
+
+
+def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of `a` picked by an integer array: out[i, ...] = a[index[i, ...]].
+    An index equal to a's row count picks a row of zeros."""
+    index = np.asarray(index)
+    n, rest = a.shape[0], a.shape[1:]
+
+    def bw(g, grads):
+        # scatter-add, flattened for bincount: element k of row i lands in
+        # bin i * width + k; sums run in index order, as np.add.at's would
+        width = int(np.prod(rest))
+        bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        full = np.bincount(bins, weights=g.reshape(-1), minlength=(n + 1) * width)
+        _acc(grads, a, full[: n * width].reshape(a.shape))
+
+    rows = np.concatenate([a.data, np.zeros((1,) + rest)])
+    return _node(rows[index], "take_rows", (a,), bw, check=False)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

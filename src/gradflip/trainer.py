@@ -136,10 +136,16 @@ def _junction_factor(mode: str, lam: float) -> float:
     return 0.0
 
 
-def _batch_losses(m: ModelGraph, batch: list[Utterance], mode: str, lam: float, rng: RngStream | None):
+def _batch_losses(
+    m: ModelGraph, batch: list[Utterance], mode: str, lam: float, rng: RngStream | None,
+    main_grad: bool = True,
+):
     """The batch's mean acoustic loss and mean speaker loss as tape scalars,
     each None when the batch does not compute it (the speaker loss in
-    baseline, the acoustic loss on speaker-only batches)."""
+    baseline, the acoustic loss on speaker-only batches). The batch runs
+    packed, as one forward pass. With main_grad False (nothing in `main`
+    is updated) the encoder, output head and ASG record no tape; the
+    acoustic loss is then only logged."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not batch:
@@ -150,31 +156,23 @@ def _batch_losses(m: ModelGraph, batch: list[Utterance], mode: str, lam: float, 
     if speaker_only and mode != "semi":
         raise ValueError(f"speaker-only batch is only valid in semi mode, not {mode!r}")
 
-    factor = _junction_factor(mode, lam)
-    ac_total = None
-    sp_total = None
-    for i, u in enumerate(batch):
-        # one derived stream per utterance position: a layer's dropout mask
-        # depends only on (stream, position, layer), never on the mode
-        u_rng = rng.child(f"u{i}") if rng is not None else None
-        if speaker_only:
-            logits = gm.forward_speaker(m, u.features, factor, "train", u_rng)
-            sp = gm.speaker_nll(logits, u.speaker)
-            sp_total = sp if sp_total is None else tz.add(sp_total, sp)
-            continue
-        if mode == "baseline":
-            em = gm.forward_acoustic(m, u.features, "train", u_rng)
-            ac = asg.asg_loss(em, m.transitions, u.transcript)
-            ac_total = ac if ac_total is None else tz.add(ac_total, ac)
-            continue
-        em, logits = gm.forward_joint(m, u.features, factor, "train", u_rng)
-        ac = asg.asg_loss(em, m.transitions, u.transcript)
-        sp = gm.speaker_nll(logits, u.speaker)
-        ac_total = ac if ac_total is None else tz.add(ac_total, ac)
-        sp_total = sp if sp_total is None else tz.add(sp_total, sp)
-
+    x, packing = gm._pack(m, [u.features for u in batch])
+    # one derived stream per utterance position: a layer's dropout mask
+    # depends only on (stream, position, layer), never on the mode
+    rngs = None if rng is None else [rng.child(f"u{i}") for i in range(len(batch))]
+    em, logits = gm._forward_packed(
+        m, x, packing, _junction_factor(mode, lam), "train", rngs,
+        acoustic=not speaker_only, speaker=mode != "baseline", encoder_grad=main_grad,
+    )
     scale = 1.0 / len(batch)
-    return tuple(None if t is None else tz.smul(t, scale) for t in (ac_total, sp_total))
+    ac = sp = None
+    if em is not None:
+        with tz.no_grad(not main_grad):
+            losses = asg._asg_losses(em, m.transitions, [u.transcript for u in batch], packing)
+            ac = tz.smul(tz.sum_reduce(losses), scale)
+    if logits is not None:
+        sp = tz.smul(tz.sum_reduce(gm._speaker_nlls(logits, [u.speaker for u in batch])), scale)
+    return ac, sp
 
 
 def _value(loss: tz.Tensor | None) -> float:
@@ -220,7 +218,7 @@ def step(
     group, so a step that leaves `main` alone (phase B) differentiates
     only the speaker loss.
     """
-    ac, sp = _batch_losses(m, batch, mode, lam, rng)
+    ac, sp = _batch_losses(m, batch, mode, lam, rng, main_grad="main" in update_groups)
     if ac is not None and sp is not None and "main" in update_groups:
         objective = tz.add(ac, sp)
     else:  # one loss only, or phase B, where the acoustic loss reaches no updated group
@@ -269,11 +267,9 @@ class TrainResult:
 def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
     ler = analysis.evaluate_ler(m, dev).value
     correct = 0
-    with tz.no_grad():
-        for u in dev.utterances:
-            logits = gm.forward_speaker(m, u.features, 0.0, "eval")
-            if int(np.argmax(logits.data)) == u.speaker:
-                correct += 1
+    for chunk in gm._chunks(dev.utterances):
+        _, _, logits = gm._eval_packed(m, [u.features for u in chunk], acoustic=False, speaker=True)
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]))
     return ler, correct / len(dev.utterances)
 
 

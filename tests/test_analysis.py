@@ -8,6 +8,7 @@ from gradflip.analysis import RepDump, edit_distance
 from gradflip.data import Dataset, Utterance
 from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
+from gradflip.rng import RngStream
 
 
 def small_model(vocab=5, speakers=4, seed=60):
@@ -296,3 +297,17 @@ def test_eval_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == an.EVAL_CSV_HEADER
     assert lines[1] == "dev,ler,0.125,60"
+
+
+def test_probe_packed_batch_draws_one_dropout_stream_in_utterance_order():
+    rng = np.random.default_rng(5)
+    reps = [rng.normal(size=(t, 6)) for t in (4, 1, 7, 3)]
+    dump = RepDump(
+        layer=1, items=[], checkpoint_id="test", n_speakers=3, branch_channels=5, branch_kernel=3,
+        dropout_rate=0.25, pooling=PoolingConfig("logsumexp", 1.0),
+    )
+    probe = an._Probe(6, dump, RngStream(3, "init"))
+    packed = probe.logits(reps, "train", RngStream(4, "dropout")).data
+    stream = RngStream(4, "dropout")
+    alone = [probe.logits([rep], "train", stream).data[0] for rep in reps]
+    assert np.array_equal(packed, np.stack(alone))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gradflip import asg
+from gradflip.layers import Packing
 from gradflip import tensor as tz
 from gradflip.tensor import Tensor
 from helpers import check_gradients
@@ -221,3 +222,56 @@ def test_collapse_of_constrained_alignment_recovers_target():
             reps[int(rng.integers(0, n))] += 1
         path = [tok for tok, r in zip(target, reps) for _ in range(r)]
         assert asg.collapse(path) == tuple(target)
+
+
+# --- packed batches ---
+
+# (T, target): T = 1, N = T, N = 1, and a token repeated non-adjacently
+RAGGED = [(1, [2]), (5, [0, 1, 0, 1, 2]), (7, [3]), (6, [1, 2, 1]), (4, [0, 3])]
+
+
+def ragged_batch(seed, k=4):
+    rng = np.random.default_rng(seed)
+    lengths = [t for t, _ in RAGGED]
+    em = rng.normal(size=(sum(lengths), k)) * 2.0
+    return em, rng.normal(size=(k, k)), [y for _, y in RAGGED], Packing(lengths)
+
+
+def test_batched_losses_match_per_utterance():
+    for seed in range(5):
+        em, trs, targets, packing = ragged_batch(seed)
+        losses = asg._asg_losses(Tensor(em), Tensor(trs), targets, packing).data
+        for loss, block, y in zip(losses, packing.split(em), targets):
+            assert abs(loss - asg.asg_loss(Tensor(block), Tensor(trs), y).item()) <= 1e-12
+
+
+def test_batched_loss_gradients():
+    em, trs, targets, packing = ragged_batch(11)
+    # distinct weights: each utterance's posteriors carry its own upstream gradient
+    weights = Tensor(np.arange(1.0, len(packing) + 1.0))
+    check_gradients(
+        lambda e, t: tz.sum_reduce(tz.mul(asg._asg_losses(e, t, targets, packing), weights)), [em, trs], tol=1e-6
+    )
+
+
+def test_batched_losses_no_cross_talk():
+    em, trs, targets, packing = ragged_batch(12)
+    base = asg._asg_losses(Tensor(em), Tensor(trs), targets, packing).data
+    changed = em.copy()
+    changed[packing.starts[3] : packing.ends[3]] += 5.0
+    other = asg._asg_losses(Tensor(changed), Tensor(trs), targets[:3] + [[2, 0, 2, 3]] + targets[4:], packing).data
+    keep = np.arange(len(packing)) != 3
+    assert np.array_equal(base[keep], other[keep]) and base[3] != other[3]
+
+
+def test_batched_viterbi_matches_per_utterance_with_ties():
+    rng = np.random.default_rng(13)
+    packing = Packing([1, 3, 6, 2, 5, 4])
+    for _ in range(20):
+        # integer scores on a coarse grid make tied optima common
+        em = rng.integers(0, 2, size=(packing.rows, 3)).astype(float)
+        trs = rng.integers(0, 2, size=(3, 3)).astype(float)
+        for path, block in zip(asg._viterbi(em, trs, packing), packing.split(em)):
+            assert np.array_equal(path, asg.viterbi_decode(block, trs))
+    paths = asg._viterbi(np.zeros((packing.rows, 3)), np.zeros((3, 3)), packing)
+    assert all(not p.any() for p in paths)

@@ -306,3 +306,52 @@ def test_gated_conv_init_gain_independent_of_dropout():
     for rate in (0.25, 0.5):
         ratio = gain(rate) / g0
         assert abs(ratio - 1.0) <= 0.10, (rate, ratio)
+
+
+# --- packed batches ---
+
+LENGTHS = (3, 1, 6, 2)
+
+
+def test_packed_conv_and_pool_equal_per_utterance():
+    rng = np.random.default_rng(31)
+    packing = layers.Packing(LENGTHS)
+    x = rng.normal(size=(packing.rows, 2))
+    w, b = Tensor(rng.normal(size=(10, 3))), Tensor(rng.normal(size=3))
+    out = layers.conv1d(Tensor(x), w, b, 5, packing).data
+    for got, block in zip(packing.split(out), packing.split(x)):
+        assert np.array_equal(got, layers.conv1d(Tensor(block), w, b, 5).data)
+    for kind in ("sum", "max", "logsumexp"):
+        cfg = PoolingConfig(kind, 1.3)
+        pooled = layers.pool(Tensor(x), cfg, packing).data
+        for got, block in zip(pooled, packing.split(x)):
+            assert np.array_equal(got, layers.pool(Tensor(block), cfg).data)
+
+
+def test_packed_conv_and_pool_gradients():
+    rng = np.random.default_rng(32)
+    packing = layers.Packing(LENGTHS)
+    x, w, b = rng.normal(size=(packing.rows, 2)), rng.normal(size=(6, 3)), rng.normal(size=3)
+    check_gradients(
+        lambda xt, wt, bt: tz.sum_reduce(tz.mul(layers.conv1d(xt, wt, bt, 3, packing),
+                                                layers.conv1d(xt, wt, bt, 3, packing))), [x, w, b], tol=1e-6
+    )
+    for kind in ("sum", "max", "logsumexp"):
+        cfg = PoolingConfig(kind, 1.3)
+        check_gradients(lambda t: tz.sum_reduce(tz.mul(layers.pool(t, cfg, packing), layers.pool(t, cfg, packing))),
+                        [x], tol=1e-6)
+
+
+def test_packed_dropout_masks_are_the_per_utterance_draws():
+    packing = layers.Packing(LENGTHS)
+    x = Tensor(np.ones((packing.rows, 4)))
+    # one stream per utterance, as in training
+    out = layers.dropout(x, 0.25, "train", [RngStream(8, f"u{i}") for i in range(len(LENGTHS))], packing)
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", RngStream(8, f"u{i}")).data
+             for i, n in enumerate(LENGTHS)]
+    assert np.array_equal(out.data, np.concatenate(alone))
+    # one stream shared in utterance order, as in probe training
+    out = layers.dropout(x, 0.25, "train", [RngStream(9, "p")] * len(LENGTHS), packing)
+    shared = RngStream(9, "p")
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", shared).data for n in LENGTHS]
+    assert np.array_equal(out.data, np.concatenate(alone))

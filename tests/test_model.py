@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gradflip import model as gm, tensor as tz
+from gradflip import asg, model as gm, tensor as tz
 from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
+from gradflip.rng import RngStream
 from helpers import grad_error
 
 
@@ -312,3 +313,63 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="parameter names"):
         gm.load_checkpoint(path)
+
+
+# --- packed batches ---
+
+LENGTHS = (1, 7, 3, 12, 2)
+TARGETS = [[1], [0, 1, 0], [2], [3, 0, 1, 2], [1, 0]]
+
+
+def ragged_inputs():
+    return [rand_input(t_len=t, seed=60 + i) for i, t in enumerate(LENGTHS)]
+
+
+def test_packed_eval_equals_per_utterance_bit_for_bit():
+    m = build_model(toy_config(), seed=61)
+    xs = ragged_inputs()
+    packing, em, logits = gm._eval_packed(m, xs, acoustic=True, speaker=True)
+    with tz.no_grad():
+        for x, em_b, logits_b in zip(xs, packing.split(em.data), logits.data):
+            em1, logits1 = gm.forward_joint(m, x, 0.0)
+            assert np.array_equal(em_b, em1.data) and np.array_equal(logits_b, logits1.data)
+            assert np.array_equal(em_b, gm.forward_acoustic(m, x).data)
+            assert np.array_equal(logits_b, gm.forward_speaker(m, x, 0.0).data)
+    for layer in range(m.cfg.n_layers + 1):
+        for rep, x in zip(gm._represent(m, xs, layer), xs):
+            assert np.array_equal(rep, gm.extract_representation(m, x, layer))
+
+
+def test_packed_train_forward_draws_each_utterances_own_masks():
+    m = build_model(toy_config(), seed=62)
+    xs = ragged_inputs()
+    streams = [RngStream(5, f"u{i}") for i in range(len(xs))]
+    x, packing = gm._pack(m, xs)
+    em, logits = gm._forward_packed(m, x, packing, 0.3, "train", streams)
+    for b, (xb, stream) in enumerate(zip(xs, streams)):
+        em1, logits1 = gm.forward_joint(m, xb, 0.3, "train", stream)
+        assert np.array_equal(packing.split(em.data)[b], em1.data)
+        assert np.array_equal(logits.data[b], logits1.data)
+
+
+def packed_outputs(m, xs):
+    x, packing = gm._pack(m, xs)
+    with tz.no_grad():
+        em, logits = gm._forward_packed(m, x, packing, 0.0, "eval", None)
+        ac = asg._asg_losses(em, m.transitions, TARGETS, packing).data
+        sp = gm._speaker_nlls(logits, [0, 1, 2, 0, 1]).data
+    return packing.split(em.data), logits.data, ac, sp
+
+
+def test_packed_utterances_do_not_see_each_other():
+    m = build_model(toy_config(), seed=63)
+    xs = ragged_inputs()
+    base = packed_outputs(m, xs)
+    # new values for utterance 2, then a new length too (still not the longest)
+    for changed in (xs[2] + 1.5, rand_input(t_len=9, seed=99)):
+        out = packed_outputs(m, xs[:2] + [changed] + xs[3:])
+        for b in (0, 1, 3, 4):
+            assert np.array_equal(out[0][b], base[0][b])
+            for k in (1, 2, 3):
+                assert np.array_equal(out[k][b], base[k][b])
+        assert out[2][2] != base[2][2]

@@ -212,6 +212,46 @@ def test_step_applies_the_sum_of_compute_gradients(monkeypatch, lam):
                                            err_msg=f"{mode}:{name}")
 
 
+def record_nodes(monkeypatch):
+    """Spy on tape node creation: appends (op, recorded on the tape) per node."""
+    made = []
+    node = tz._node
+
+    def spy(data, op, parents, backward, check=True):
+        out = node(data, op, parents, backward, check)
+        made.append((op, out.grad_tracked))
+        return out
+
+    monkeypatch.setattr(tz, "_node", spy)
+    return made
+
+
+def test_phase_b_step_records_no_asg_node(monkeypatch):
+    made = record_nodes(monkeypatch)
+    batch = batch_of(tiny_data()[0])
+    for groups, recorded in ((("speaker",), False), (("main", "speaker"), True)):
+        made.clear()
+        ac, _ = tr.step(tiny_model(), batch, "al", 0.0, 0.05, 0.02, RngStream(4, "d"), groups)
+        assert [tracked for op, tracked in made if op == "asg_loss"] == [recorded]
+        assert math.isfinite(ac)
+    # the logged losses do not depend on whether the tape records them
+    m = tiny_model()
+    untaped = tr._batch_losses(m, batch, "al", 0.0, RngStream(4, "d"), main_grad=False)
+    taped = tr._batch_losses(m, batch, "al", 0.0, RngStream(4, "d"))
+    assert [t.item() for t in untaped] == [t.item() for t in taped]
+
+
+def test_step_tape_does_not_grow_with_batch_size(monkeypatch):
+    made = record_nodes(monkeypatch)
+    train_ds, _ = tiny_data()
+    tapes = {}
+    for n in (1, 8):
+        made.clear()
+        tr.step(tiny_model(), batch_of(train_ds, n), "al", 0.3, 0.05, 0.02, RngStream(4, "d"))
+        tapes[n] = [op for op, tracked in made if tracked]
+    assert tapes[1] == tapes[8]
+
+
 def test_speaker_only_batch_rejected_outside_semi():
     _, semi_ds = tiny_data(semi_speakers=1)
     m = tiny_model(seed=42)
