@@ -44,7 +44,6 @@ class RepDump:
 
     layer: int
     items: list[tuple[str, np.ndarray, int]]  # (utterance id, L x C, speaker)
-    checkpoint_id: str
     n_speakers: int
     branch_channels: int
     branch_kernel: int
@@ -63,7 +62,6 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     return RepDump(
         layer=layer,
         items=items,
-        checkpoint_id=f"seed{m.seed}",
         n_speakers=len(dataset.speakers),
         branch_channels=m.cfg.branch_channels,
         branch_kernel=m.cfg.branch_kernel,
@@ -96,7 +94,14 @@ class _Probe:
         return self.out.forward(pool(h, self.pooling, packing))
 
 
-def _stratified_split(items, rng: RngStream, eval_frac=0.2):
+# probe training: SGD rate of every probe parameter, utterances per batch,
+# and the share of each speaker's utterances held out for scoring
+PROBE_LR = 0.1
+PROBE_BATCH = 8
+PROBE_EVAL_FRAC = 0.2
+
+
+def _stratified_split(items, rng: RngStream):
     by_speaker: dict[int, list[int]] = {}
     for i, (_, _, speaker) in enumerate(items):
         by_speaker.setdefault(speaker, []).append(i)
@@ -104,20 +109,14 @@ def _stratified_split(items, rng: RngStream, eval_frac=0.2):
     for speaker in sorted(by_speaker):
         idxs = by_speaker[speaker]
         perm = rng.permutation(len(idxs))
-        n_eval = max(1, int(eval_frac * len(idxs)))
+        n_eval = max(1, int(PROBE_EVAL_FRAC * len(idxs)))
         shuffled = [idxs[p] for p in perm]
         eval_idx += shuffled[:n_eval]
         train_idx += shuffled[n_eval:]
     return sorted(train_idx), sorted(eval_idx)
 
 
-def train_probe(
-    dump: RepDump,
-    epochs: int = 10,
-    seed: int = 0,
-    lr: float = 0.1,
-    batch_size: int = 8,
-) -> float:
+def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
     """Train a probe on 80% of the dump, return held-out top-1 accuracy.
 
     The probed checkpoint is never touched; representations enter as
@@ -136,12 +135,12 @@ def train_probe(
 
     for epoch in range(epochs):
         order = rng.child(f"shuffle{epoch}").permutation(len(train_idx))
-        for start in range(0, len(order), batch_size):
-            chunk = [dump.items[train_idx[i]] for i in order[start : start + batch_size]]
+        for start in range(0, len(order), PROBE_BATCH):
+            chunk = [dump.items[train_idx[i]] for i in order[start : start + PROBE_BATCH]]
             logits = probe.logits([rep for _, rep, _ in chunk], "train", dropout_rng)
             nlls = gm._speaker_nlls(logits, [speaker for _, _, speaker in chunk])
             grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), probe.params)
-            tz.sgd_step(probe.params, grads, lr_main=lr, lr_speaker=lr)
+            tz.sgd_step(probe.params, grads, lr_main=PROBE_LR, lr_speaker=PROBE_LR)
 
     correct = 0
     with tz.no_grad():

@@ -7,7 +7,8 @@
     gradflip eval     --checkpoint runs/al-out/best.ckpt --data runs/data/synth.dev --out runs/eval
 
 Every config key is overridable as `--key=value`. Exit codes: 0 success,
-2 validation error, 3 numeric divergence.
+2 validation error, 3 numeric divergence in training or numeric overflow
+in any command.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from gradflip import analysis, config as cf, data as gd, model as gm, trainer as tr
+from gradflip import analysis, config as cf, data as gd, model as gm, tensor as tz, trainer as tr
 
 __all__ = ["main", "entry"]
 
@@ -255,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:  # OSError: an input path that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except tz.NumericOverflow as e:  # e.g. a valid checkpoint whose forward pass overflows
+        print(f"error: numeric overflow: {e}", file=sys.stderr)
+        return EXIT_DIVERGENCE
 
 
 def entry() -> None:

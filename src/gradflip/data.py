@@ -122,13 +122,19 @@ def _draw_word(rng: RngStream, alphabet: int, lo: int, hi: int) -> list[int]:
 IN_SPAN_FRACTION = 0.25
 
 
+def _draw_bases(cfg: GenConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    # (n_tokens, dim) orthonormal prototype rows and the (dim, dim - n_tokens)
+    # complement, as views of one QR draw; the first draw of the "gen" stream
+    n_tokens = cfg.alphabet_size + 1
+    q, _ = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.dim)))
+    return q[:, :n_tokens].T, q[:, n_tokens:]
+
+
 def feature_bases(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     """(prototypes, complement): orthonormal token rows and the left-over
     directions of feature space, as drawn by generate() for this config."""
-    n_tokens = cfg.alphabet_size + 1
-    rng = RngStream(cfg.seed, "gen")
-    q, _ = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.dim)))
-    return q[:, :n_tokens].T.copy(), q[:, n_tokens:].copy()
+    prototypes, complement = _draw_bases(cfg, RngStream(cfg.seed, "gen"))
+    return prototypes.copy(), complement.copy()
 
 
 def generate(cfg: GenConfig) -> Dataset:
@@ -140,9 +146,7 @@ def generate(cfg: GenConfig) -> Dataset:
             f"in {cfg.dim} dimensions; need dim >= {n_tokens}"
         )
     rng = RngStream(cfg.seed, "gen")
-    q, _ = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.dim)))
-    prototypes = q[:, :n_tokens].T  # (n_tokens, dim), orthonormal rows
-    complement = q[:, n_tokens:]  # (dim, dim - n_tokens)
+    prototypes, complement = _draw_bases(cfg, rng)
     comp_dim = cfg.dim - n_tokens
     in_span_scale = cfg.offset_scale * (IN_SPAN_FRACTION if comp_dim else 1.0)
 
@@ -260,16 +264,6 @@ def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
 # file format: one JSON header line, then one JSON utterance per line
 
 
-class _F(float):
-    # 17 significant digits always round-trip binary64 exactly
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
-def _fmt_frames(features: np.ndarray) -> list[list[_F]]:
-    return [[_F(v) for v in row] for row in features.tolist()]
-
-
 def save_dataset(ds: Dataset, path) -> None:
     lines = [
         json.dumps(
@@ -282,7 +276,7 @@ def save_dataset(ds: Dataset, path) -> None:
             "id": u.id,
             "speaker": u.speaker,
             "transcript": list(u.transcript) if u.transcript is not None else None,
-            "frames": _fmt_frames(u.features),
+            "frames": u.features.tolist(),  # shortest round-trip repr
         }
         lines.append(json.dumps(rec, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -119,7 +119,7 @@ def conv1d(
         )
     taps = _packing(x, packing).taps(kernel_width)
     unfolded = tz.reshape(tz.take_rows(x, taps), (t_len, kernel_width * c_in))
-    return tz.matmul(unfolded, weight) + bias
+    return tz.add(tz.matmul(unfolded, weight), bias)
 
 
 def glu(x: Tensor) -> Tensor:
@@ -144,24 +144,23 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
 
 
 def dropout(
-    x: Tensor, rate: float, mode: str, rng=None, packing: Packing | None = None
+    x: Tensor, rate: float, mode: str, rngs=None, packing: Packing | None = None
 ) -> Tensor:
     """Inverted dropout: surviving units scaled by 1/(1-rate). Identity in eval mode.
 
-    rng is one RngStream, or for a packed batch one stream per utterance,
-    each drawing that utterance's T_b x C mask (a stream may repeat).
+    rngs holds one RngStream per utterance of the batch (a lone input is
+    one utterance), each drawing that utterance's T_b x C mask; a stream
+    may repeat.
     """
     _check_mode(mode)
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if mode == "eval" or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs an RngStream")
-    if packing is None:
-        draws = rng.uniform(size=x.shape)
-    else:
-        draws = np.concatenate([r.uniform(size=(n, x.shape[1])) for r, n in zip(rng, packing.lengths)])
+    if rngs is None:
+        raise ValueError("dropout in train mode needs one RngStream per utterance")
+    lengths = (x.shape[0],) if packing is None else packing.lengths
+    draws = np.concatenate([r.uniform(size=(n,) + x.shape[1:]) for r, n in zip(rngs, lengths)])
     return tz.mul(x, Tensor((draws >= rate) / (1.0 - rate)))
 
 
@@ -249,11 +248,11 @@ class GatedConv:
         self.g = store.add(f"{prefix}.g", Tensor(norms), group)
         self.b = store.add(f"{prefix}.b", Tensor(np.zeros(2 * out_channels)), group)
 
-    def forward(self, x: Tensor, mode: str = "eval", rng=None, packing: Packing | None = None) -> Tensor:
-        """rng as for `dropout`: one stream, or one per utterance of a packed batch."""
+    def forward(self, x: Tensor, mode: str = "eval", rngs=None, packing: Packing | None = None) -> Tensor:
+        """rngs as for `dropout`: one stream per utterance."""
         w = weight_norm(self.v, self.g)
         h = glu(conv1d(x, w, self.b, self.kernel_width, packing))
-        return dropout(h, self.dropout_rate, mode, rng, packing)
+        return dropout(h, self.dropout_rate, mode, rngs, packing)
 
 
 class Linear:
@@ -278,4 +277,4 @@ class Linear:
 
     def forward(self, x: Tensor) -> Tensor:
         """Rows of x (N x in_features) mapped to N x out_features."""
-        return tz.matmul(x, weight_norm(self.v, self.g)) + self.b
+        return tz.add(tz.matmul(x, weight_norm(self.v, self.g)), self.b)

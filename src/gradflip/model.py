@@ -33,17 +33,17 @@ __all__ = [
 
 CHECKPOINT_VERSION = 1
 
-# named fork depths per stack size; the 17-layer entry follows the
-# IN/MID/OUT convention of the full-scale setup, the 5-layer one is the
-# desk-scale preset
+# named fork depths of stack sizes that depart from the fractional rule
+# in resolve_fork; the 5-layer desk-scale preset puts `mid` at 3, where
+# the rule gives 2
 FORK_PRESETS: dict[int, dict[str, int]] = {
-    17: {"in": 2, "mid": 8, "out": 15},
     5: {"in": 1, "mid": 3, "out": 4},
 }
 
 
 def resolve_fork(n_layers: int, label: str) -> int:
-    """Map an in/mid/out label to a layer index for the given stack size."""
+    """Map an in/mid/out label to a layer index for the given stack size:
+    the IN/MID/OUT depths 2/8/15 of the 17-layer full-scale setup, scaled."""
     if label not in ("in", "mid", "out"):
         raise ValueError(f"fork label must be in/mid/out, got {label!r}")
     preset = FORK_PRESETS.get(n_layers)
@@ -85,7 +85,6 @@ class ModelGraph:
 
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
-        self.seed = int(seed)
         self.params = ParamStore()
         rng = RngStream(seed, "init")
         self.stack: list[GatedConv] = []

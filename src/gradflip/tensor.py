@@ -59,14 +59,13 @@ def _check_finite(op: str, arr: np.ndarray) -> None:
 class Tensor:
     """A dense float64 array, optionally recorded on the autodiff tape."""
 
-    __slots__ = ("data", "grad_tracked", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad_tracked", "_parents", "_backward")
 
-    def __init__(self, data, grad_tracked: bool = False, name: str | None = None):
+    def __init__(self, data, grad_tracked: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         _check_finite("tensor", arr)
         self.data = arr
         self.grad_tracked = bool(grad_tracked)
-        self.name = name
         self._parents: tuple = ()
         self._backward = None
 
@@ -86,45 +85,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.grad_tracked})"
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
 
 def _node(data: np.ndarray, op: str, parents: tuple, backward, check: bool = True) -> Tensor:
     if check:
         _check_finite(op, data)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.name = None
     if _grad_enabled and any(p.grad_tracked for p in parents):
         out.grad_tracked = True
         out._parents = parents
@@ -292,50 +258,43 @@ def pow_scalar(a: Tensor, p: float) -> Tensor:
     return _node(out_data, "pow_scalar", (a,), bw)
 
 
-def sum_reduce(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def bw(g, grads):
-        if axis is None:
-            _acc(grads, a, np.broadcast_to(g, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            _acc(grads, a, np.broadcast_to(ge, a.shape).copy())
+        ge = g if axis is None else np.expand_dims(g, axis)
+        _acc(grads, a, np.broadcast_to(ge, a.shape).copy())
 
     return _node(out_data, "sum_reduce", (a,), bw, check=False)
 
 
-def max_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def max_reduce(a: Tensor, axis: int) -> Tensor:
     if a.shape[axis] == 0:
         raise ShapeMismatch("max_reduce: empty axis")
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
+    out_data = a.data.max(axis=axis)
     # ties resolve to the lowest index so the subgradient is deterministic
     idx = np.argmax(a.data, axis=axis)
 
     def bw(g, grads):
-        ge = g if keepdims else np.expand_dims(g, axis)
         full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), ge, axis=axis)
+        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         _acc(grads, a, full)
 
     return _node(out_data, "max_reduce", (a,), bw, check=False)
 
 
-def logsumexp(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def logsumexp(a: Tensor, axis: int) -> Tensor:
     """Numerically stabilized log(sum(exp(a))) along one axis."""
     if a.shape[axis] == 0:
         raise ShapeMismatch("logsumexp: empty axis")
     m = a.data.max(axis=axis, keepdims=True)
     z = np.exp(a.data - m)
     s = z.sum(axis=axis, keepdims=True)
-    out_data = m + np.log(s)
+    out_data = np.squeeze(m + np.log(s), axis=axis)
     soft = z / s
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
 
     def bw(g, grads):
-        ge = g if keepdims else np.expand_dims(g, axis)
-        _acc(grads, a, ge * soft)
+        _acc(grads, a, np.expand_dims(g, axis) * soft)
 
     return _node(out_data, "logsumexp", (a,), bw)
 
@@ -489,24 +448,14 @@ class ParamStore:
         if group not in PARAM_GROUPS:
             raise ValueError(f"unknown parameter group: {group}")
         tensor.grad_tracked = True
-        tensor.name = name
         self._entries[name] = (tensor, group)
         return tensor
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
 
     def names(self) -> list[str]:
         return sorted(self._entries)
 
     def get(self, name: str) -> Tensor:
         return self._entries[name][0]
-
-    def group(self, name: str) -> str:
-        return self._entries[name][1]
 
     def items(self) -> Iterable[tuple[str, Tensor, str]]:
         for name in sorted(self._entries):

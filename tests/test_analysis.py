@@ -32,7 +32,7 @@ def small_dataset(seed=71, utts=10):
 
 def fake_dump(items, n_speakers, channels=6, kernel=3):
     return RepDump(
-        layer=0, items=items, checkpoint_id="test", n_speakers=n_speakers,
+        layer=0, items=items, n_speakers=n_speakers,
         branch_channels=channels, branch_kernel=kernel, dropout_rate=0.0,
         pooling=PoolingConfig("logsumexp", 1.0),
     )
@@ -303,7 +303,7 @@ def test_probe_packed_batch_draws_one_dropout_stream_in_utterance_order():
     rng = np.random.default_rng(5)
     reps = [rng.normal(size=(t, 6)) for t in (4, 1, 7, 3)]
     dump = RepDump(
-        layer=1, items=[], checkpoint_id="test", n_speakers=3, branch_channels=5, branch_kernel=3,
+        layer=1, items=[], n_speakers=3, branch_channels=5, branch_kernel=3,
         dropout_rate=0.25, pooling=PoolingConfig("logsumexp", 1.0),
     )
     probe = an._Probe(6, dump, RngStream(3, "init"))

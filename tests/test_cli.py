@@ -480,6 +480,34 @@ def test_eval_exits_2_on_non_finite_numbers(eval_inputs, name, lineno, path, val
     eval_with_edit(root, files, name, lineno, path, poison)
 
 
+def overflowing_checkpoint(root):
+    """A valid checkpoint whose forward pass overflows: finite but huge gains."""
+    doc = json.loads((root / "model.ckpt").read_text())
+    for name, value in (("out.g", 1e308), ("stack.01.g", 1e200)):
+        entry = doc["params"][name]
+        entry["values"] = [value] * len(entry["values"])
+    path = root / "huge.ckpt"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,op",
+    [
+        (["eval", "--checkpoint", "{ckpt}", "--data", "{root}/data/synth.dev", "--out", "{root}/ev-huge"], "matmul"),
+        (["probe", "--checkpoints", "m={ckpt}", "--layers", "1", "--data", "{root}/data/synth.dev",
+          "--out", "{root}/probe-huge"], "mul"),
+    ],
+    ids=["eval", "probe"],
+)
+def test_numeric_overflow_exit_3(eval_inputs, capsys, argv, op):
+    root = eval_inputs[0]
+    ckpt = overflowing_checkpoint(root)
+    assert main([arg.format(root=root, ckpt=ckpt) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: numeric overflow: {op}: "), err
+
+
 @pytest.mark.parametrize(
     "argv,bad",
     [

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gradflip import data as gd
+from gradflip import config as cf, data as gd
 from gradflip.data import Dataset, GenConfig, Utterance
 
 
@@ -24,11 +26,32 @@ def small_cfg(**kw):
     return GenConfig(**base)
 
 
+# sha256 of the files generate() + save_dataset() wrote when these digests
+# were recorded; a change to the draws or the float format moves them
+SMALL_SHA256 = "e5f9f53d6caa7c986c2ca2e9472fc493532be8ba9ec5a695dcc201134958d399"
+TOY_SHA256 = {  # the toy preset at seed 1234, split as `gradflip gen-data` splits it
+    "train": "a6ccbdd79c74ffdb61bce4258d97a9f7db391eebfb27652b7d7df5487833bf3f",
+    "dev": "0a74b14ab285b71476f156f4708ad631c565efdf71bb3c7008696c04b170d671",
+    "test": "3c97a9a2e0f0b561f5374180fe12b252e319b59539526ef3573bcb9365becb95",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_generate_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     gd.save_dataset(gd.generate(small_cfg()), a)
     gd.save_dataset(gd.generate(small_cfg()), b)
     assert a.read_bytes() == b.read_bytes()
+    assert sha256(a) == SMALL_SHA256
+    cfg = cf.resolve(seed_flag=1234)
+    main, _ = gd.partition_semi(gd.generate(cf.gen_config(cfg)))
+    parts = gd.split(main, cfg["gen.train_frac"], cfg["gen.dev_frac"], cfg["seed"])
+    for part, ds in zip(("train", "dev", "test"), parts):
+        gd.save_dataset(ds, tmp_path / part)
+        assert sha256(tmp_path / part) == TOY_SHA256[part], part
 
 
 def test_degenerate_generator_frames_equal_prototypes():

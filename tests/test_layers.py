@@ -116,7 +116,7 @@ def test_weight_norm_gradient():
 def test_dropout_rate_zero_identity_both_modes():
     x = Tensor(np.ones((3, 2)))
     for mode in ("train", "eval"):
-        out = layers.dropout(x, 0.0, mode, RngStream(1, "d"))
+        out = layers.dropout(x, 0.0, mode, [RngStream(1, "d")])
         np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -129,13 +129,13 @@ def test_dropout_eval_identity_at_paper_rate():
 def test_dropout_train_preserves_mean():
     rng = RngStream(42, "dropout-mc")
     x = Tensor(np.ones(100_000))
-    out = layers.dropout(x, 0.25, "train", rng)
+    out = layers.dropout(x, 0.25, "train", [rng])
     assert abs(out.data.mean() - 1.0) < 0.01
 
 
 def test_dropout_invalid_rate():
     with pytest.raises(ValueError):
-        layers.dropout(Tensor(np.ones(2)), 1.0, "train", RngStream(1, "d"))
+        layers.dropout(Tensor(np.ones(2)), 1.0, "train", [RngStream(1, "d")])
 
 
 # --- pooling ---
@@ -300,7 +300,7 @@ def test_gated_conv_init_gain_independent_of_dropout():
 
     def gain(rate):
         blk = layers.GatedConv(tz.ParamStore(), "l0", "main", 16, 16, 5, rate, RngStream(5, "init"))
-        return blk.forward(x, "train", RngStream(6, "drop")).data.std() / x.data.std()
+        return blk.forward(x, "train", [RngStream(6, "drop")]).data.std() / x.data.std()
 
     g0 = gain(0.0)
     for rate in (0.25, 0.5):
@@ -347,11 +347,11 @@ def test_packed_dropout_masks_are_the_per_utterance_draws():
     x = Tensor(np.ones((packing.rows, 4)))
     # one stream per utterance, as in training
     out = layers.dropout(x, 0.25, "train", [RngStream(8, f"u{i}") for i in range(len(LENGTHS))], packing)
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", RngStream(8, f"u{i}")).data
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", [RngStream(8, f"u{i}")]).data
              for i, n in enumerate(LENGTHS)]
     assert np.array_equal(out.data, np.concatenate(alone))
     # one stream shared in utterance order, as in probe training
     out = layers.dropout(x, 0.25, "train", [RngStream(9, "p")] * len(LENGTHS), packing)
     shared = RngStream(9, "p")
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", shared).data for n in LENGTHS]
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", [shared]).data for n in LENGTHS]
     assert np.array_equal(out.data, np.concatenate(alone))
