@@ -1,8 +1,8 @@
 """Representation probing and transcription evaluation.
 
-A probe is a fresh copy of the speaker-branch architecture (gated conv,
-weight norm, LogSumExp pooling, linear head) trained for a few epochs on
-frozen representations dumped from a checkpoint. Its held-out accuracy
+A probe is a fresh `model.SpeakerBranch` (gated conv, weight norm,
+LogSumExp pooling, linear head) trained for a few epochs on frozen
+representations dumped from a checkpoint. Its held-out accuracy
 measures how much speaker identity the representation exposes. LER and
 WER come from Viterbi decoding followed by Levenshtein distance at letter
 and separator-delimited word granularity.
@@ -17,8 +17,8 @@ import numpy as np
 
 from gradflip import asg, model as gm, tensor as tz
 from gradflip.data import Dataset
-from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, pool
-from gradflip.model import ModelGraph
+from gradflip.layers import Packing, PoolingConfig
+from gradflip.model import ModelGraph, SpeakerBranch
 from gradflip.rng import RngStream, stream_seed
 from gradflip.tensor import ParamStore
 
@@ -56,8 +56,8 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     m = _as_model(checkpoint)
     items = [
         (u.id, rep, u.speaker)
-        for chunk in gm._chunks(dataset.utterances)
-        for u, rep in zip(chunk, gm._represent(m, [u.features for u in chunk], layer))
+        for chunk in gm.chunks(dataset.utterances)
+        for u, rep in zip(chunk, gm.represent(m, [u.features for u in chunk], layer))
     ]
     return RepDump(
         layer=layer,
@@ -70,28 +70,12 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     )
 
 
-class _Probe:
-    """Speaker-branch architecture with its own parameters."""
-
-    def __init__(self, in_dim: int, dump: RepDump, rng: RngStream):
-        self.params = ParamStore()
-        self.conv = GatedConv(
-            self.params, "probe.conv", "speaker", in_dim, dump.branch_channels,
-            dump.branch_kernel, dump.dropout_rate, rng.child("conv"),
-        )
-        self.out = Linear(
-            self.params, "probe.out", "speaker", dump.branch_channels, dump.n_speakers,
-            rng.child("out"),
-        )
-        self.pooling = dump.pooling
-
-    def logits(self, reps: list[np.ndarray], mode: str, rng: RngStream | None):
-        """B x S logits of a packed batch; in train mode every utterance's
-        dropout mask comes from `rng`, in utterance order."""
-        packing = Packing([len(r) for r in reps])
-        streams = None if rng is None else [rng] * len(reps)
-        h = self.conv.forward(tz.Tensor(np.concatenate(reps)), mode, streams, packing)
-        return self.out.forward(pool(h, self.pooling, packing))
+def _probe_logits(probe: SpeakerBranch, reps: list[np.ndarray], mode: str, rng: RngStream | None):
+    """B x S logits of a packed batch; in train mode every utterance's
+    dropout mask comes from `rng`, in utterance order."""
+    packing = Packing([len(r) for r in reps])
+    streams = None if rng is None else [rng] * len(reps)
+    return probe.forward(tz.Tensor(np.concatenate(reps)), mode, streams, packing)
 
 
 # probe training: SGD rate of every probe parameter, utterances per batch,
@@ -129,23 +113,27 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
     train_idx, eval_idx = _stratified_split(dump.items, rng.child("split"))
     if not train_idx:
         raise ValueError("probe training split is empty")
-    in_dim = dump.items[0][1].shape[1]
-    probe = _Probe(in_dim, dump, rng.child("init"))
+    init = rng.child("init")
+    params = ParamStore()
+    probe = SpeakerBranch(
+        params, "probe", dump.items[0][1].shape[1], dump.branch_channels, dump.branch_kernel,
+        dump.dropout_rate, dump.pooling, dump.n_speakers, (init.child("conv"), init.child("out")),
+    )
     dropout_rng = rng.child("dropout")
 
     for epoch in range(epochs):
         order = rng.child(f"shuffle{epoch}").permutation(len(train_idx))
         for start in range(0, len(order), PROBE_BATCH):
             chunk = [dump.items[train_idx[i]] for i in order[start : start + PROBE_BATCH]]
-            logits = probe.logits([rep for _, rep, _ in chunk], "train", dropout_rng)
-            nlls = gm._speaker_nlls(logits, [speaker for _, _, speaker in chunk])
-            grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), probe.params)
-            tz.sgd_step(probe.params, grads, lr_main=PROBE_LR, lr_speaker=PROBE_LR)
+            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], "train", dropout_rng)
+            nlls = gm.speaker_nlls(logits, [speaker for _, _, speaker in chunk])
+            grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), params)
+            tz.sgd_step(params, grads, lr_main=PROBE_LR, lr_speaker=PROBE_LR)
 
     correct = 0
     with tz.no_grad():
-        for chunk in gm._chunks([dump.items[i] for i in eval_idx]):
-            logits = probe.logits([rep for _, rep, _ in chunk], "eval", None)
+        for chunk in gm.chunks([dump.items[i] for i in eval_idx]):
+            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], "eval", None)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == [speaker for _, _, speaker in chunk]))
     return correct / len(eval_idx)
 
@@ -205,9 +193,10 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
     errors = dict.fromkeys(metrics, 0)
     totals = dict.fromkeys(metrics, 0)
     transcribed = [u for u in dataset.utterances if u.transcript is not None]
-    for chunk in gm._chunks(transcribed):
-        packing, em, _ = gm._eval_packed(m, [u.features for u in chunk])
-        for u, path in zip(chunk, asg._viterbi(em.data, m.transitions.data, packing)):
+    for chunk in gm.chunks(transcribed):
+        with tz.no_grad():
+            packing, em, _ = gm.forward(m, [u.features for u in chunk], speaker=False)
+        for u, path in zip(chunk, asg.viterbi(em.data, m.transitions.data, packing)):
             hyp = asg.collapse(path)
             for name in metrics:
                 err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)

@@ -10,11 +10,11 @@ Each score is the log-add over the paths of a state graph. The full
 graph's states are the K tokens, the constrained graph's the N target
 positions joined by stay and move edges. Targets have no adjacent
 duplicates (no repetition tokens are used). The loss of a packed batch
-(`layers.Packing`) is one tape node: one numpy forward-backward recursion
+(`layers.Packing`), `asg_losses`, is one tape node: one numpy forward-backward recursion
 runs over both graphs of every utterance, padded to a common length and
 state count. The alpha pass gives the scores, the beta pass the state
-and edge posteriors that are their gradients. Viterbi decoding shares
-the forward sweep, with max in place of logadd. A lone utterance is the
+and edge posteriors that are their gradients. Viterbi decoding (`viterbi`)
+shares the forward sweep, with max in place of logadd. A lone utterance is the
 batch of one.
 """
 
@@ -30,7 +30,7 @@ from gradflip.layers import Packing
 from gradflip.tensor import Tensor
 
 __all__ = [
-    "validate_target", "asg_loss", "full_logadd", "constrained_logadd",
+    "validate_target", "asg_losses", "viterbi", "asg_loss", "full_logadd", "constrained_logadd",
     "viterbi_decode", "path_score", "collapse",
 ]
 
@@ -193,7 +193,7 @@ def _scores(op, emissions: Tensor, transitions: Tensor, packing: Packing, graphs
     return tz._node(np.reshape(value, shape), op, (emissions, transitions), bw)
 
 
-def _asg_losses(emissions: Tensor, transitions: Tensor, targets, packing: Packing, shape=None) -> Tensor:
+def asg_losses(emissions: Tensor, transitions: Tensor, targets, packing: Packing, shape=None) -> Tensor:
     """ASG loss of every utterance of a packed batch, (B,), as one tape node."""
     graphs = [(1.0, _full_graph), (-1.0, partial(_target_graph, targets=targets))]
     return _scores("asg_loss", emissions, transitions, packing, graphs, shape or (len(packing),))
@@ -214,14 +214,14 @@ def constrained_logadd(emissions: Tensor, transitions: Tensor, target: Sequence[
 
 def asg_loss(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> Tensor:
     """ASG loss = full_logadd - constrained_logadd; non-negative scalar."""
-    return _asg_losses(emissions, transitions, [target], Packing((emissions.shape[0],)), (1, 1))
+    return asg_losses(emissions, transitions, [target], Packing((emissions.shape[0],)), (1, 1))
 
 
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _viterbi(em: np.ndarray, tr: np.ndarray, packing: Packing) -> list[np.ndarray]:
+def viterbi(em: np.ndarray, tr: np.ndarray, packing: Packing) -> list[np.ndarray]:
     """Best-scoring full-graph path of each utterance of a packed batch:
     the forward sweep with max in place of logadd, then a backtrack from
     each utterance's own last frame."""
@@ -247,7 +247,7 @@ def viterbi_decode(emissions, transitions) -> np.ndarray:
     em = _as_array(emissions)
     if em.shape[0] < 1:
         raise ValueError("viterbi_decode: need at least one frame")
-    return _viterbi(em, _as_array(transitions), Packing((em.shape[0],)))[0]
+    return viterbi(em, _as_array(transitions), Packing((em.shape[0],)))[0]
 
 
 def path_score(emissions, transitions, path: Sequence[int]) -> float:

@@ -180,7 +180,6 @@ def train_config(cfg: dict[str, object]) -> TrainConfig:
     )
     return TrainConfig(
         mode=cfg["train.mode"],
-        fork=cfg["train.fork"],
         lr_main=cfg["train.lr_main"],
         lr_speaker=cfg["train.lr_speaker"],
         batch_size=cfg["train.batch_size"],

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gradflip.asg import validate_target
 from gradflip.rng import RngStream
 
 __all__ = [
@@ -67,6 +68,9 @@ class GenConfig:
             raise ValueError("semi_speakers must be >= 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        # a zero scale gives every speaker the same (zero) offset
+        if self.offset_scale < 0 or (self.offset_scale == 0 and self.n_speakers + self.semi_speakers > 1):
+            raise ValueError("offset_scale must be positive when there are two or more speakers")
         for name in ("frames_per_token", "words_per_utterance", "letters_per_word"):
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:
@@ -154,13 +158,9 @@ def generate(cfg: GenConfig) -> Dataset:
     offsets = np.zeros((total_speakers, cfg.dim))
     gains = np.zeros((total_speakers, cfg.dim))
     for s in range(total_speakers):
-        while True:
-            off = prototypes.T @ rng.normal(0.0, in_span_scale, n_tokens)
-            if comp_dim:
-                off = off + complement @ rng.normal(0.0, cfg.offset_scale, comp_dim)
-            if not any(np.array_equal(off, offsets[p]) for p in range(s)):
-                break
-        offsets[s] = off
+        offsets[s] = prototypes.T @ rng.normal(0.0, in_span_scale, n_tokens)
+        if comp_dim:
+            offsets[s] += complement @ rng.normal(0.0, cfg.offset_scale, comp_dim)
         gains[s] = rng.uniform(cfg.gain_range[0], cfg.gain_range[1], cfg.dim)
 
     if total_speakers > 1 and cfg.noise_sigma > 0:
@@ -322,13 +322,10 @@ def load_dataset(path) -> Dataset:
         if transcript is not None:
             if any(type(t) is not int for t in transcript):
                 fail(lineno, "transcript tokens must be integers")
-            transcript = tuple(transcript)
-            if len(transcript) > len(features):
-                fail(lineno, "transcript longer than frame count")
-            if any(not (0 <= t < len(vocab)) for t in transcript):
-                fail(lineno, "transcript token outside vocabulary")
-            if any(a == b for a, b in zip(transcript, transcript[1:])):
-                fail(lineno, "transcript has adjacent duplicate tokens")
+            try:
+                transcript = validate_target(transcript, len(vocab), len(features))
+            except ValueError as e:
+                fail(lineno, f"key 'transcript': {e}")
         utts.append(Utterance(rec["id"], speaker, transcript, features))
     if not utts:
         raise ValueError(f"{path}: no utterance records after the header")

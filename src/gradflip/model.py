@@ -7,8 +7,8 @@ branch taps the fork representation through a gradient-scaling junction,
 applies one gated conv, pools over time, and projects to speaker logits.
 Encoder, decoder and the ASG transition matrix carry parameter group
 `main`; everything in the branch carries group `speaker`. One forward
-pass over a packed batch serves training, evaluation and probing; the
-per-utterance functions are its batch of one.
+pass over a packed batch (`forward`) serves training, evaluation and
+probing; the per-utterance functions are its batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore, Tensor
 
 __all__ = [
-    "ModelConfig", "ModelGraph", "FORK_PRESETS", "resolve_fork", "build_model",
+    "ModelConfig", "ModelGraph", "SpeakerBranch", "FORK_PRESETS", "resolve_fork", "build_model",
+    "forward", "represent", "chunks", "speaker_nlls",
     "forward_acoustic", "forward_speaker", "forward_joint", "extract_representation",
     "speaker_nll", "save_checkpoint", "load_checkpoint",
 ]
@@ -80,6 +81,28 @@ class ModelConfig:
             raise ValueError("need at least one speaker")
 
 
+class SpeakerBranch:
+    """Gated conv -> pooling over time -> linear projection to speaker
+    logits, all in parameter group `speaker`. The model taps its fork with
+    one; each probe is another, trained on frozen representations.
+    rngs holds the init streams of the conv and of the projection."""
+
+    def __init__(
+        self, params: ParamStore, prefix: str, in_channels: int, channels: int, kernel_width: int,
+        dropout_rate: float, pooling: PoolingConfig, n_speakers: int, rngs: tuple[RngStream, RngStream],
+    ):
+        conv_rng, out_rng = rngs
+        self.conv = GatedConv(
+            params, f"{prefix}.conv", "speaker", in_channels, channels, kernel_width, dropout_rate, conv_rng
+        )
+        self.out = Linear(params, f"{prefix}.out", "speaker", channels, n_speakers, out_rng)
+        self.pooling = pooling
+
+    def forward(self, h: Tensor, mode: str, rngs, packing: Packing) -> Tensor:
+        """B x S logits of a packed batch; rngs as for `layers.dropout`."""
+        return self.out.forward(pool(self.conv.forward(h, mode, rngs, packing), self.pooling, packing))
+
+
 class ModelGraph:
     """Built model: layer stack, output head, speaker branch, transitions."""
 
@@ -104,18 +127,9 @@ class ModelGraph:
             )
             ch_in = cfg.channels
         self.out = Linear(self.params, "out", "main", cfg.channels, cfg.vocab_size, rng.child("out"))
-        self.branch_conv = GatedConv(
-            self.params,
-            "spk.conv",
-            "speaker",
-            cfg.channels,
-            cfg.branch_channels,
-            cfg.branch_kernel,
-            cfg.dropout_rate,
-            rng.child("spk.conv"),
-        )
-        self.branch_out = Linear(
-            self.params, "spk.out", "speaker", cfg.branch_channels, cfg.n_speakers, rng.child("spk.out")
+        self.branch = SpeakerBranch(
+            self.params, "spk", cfg.channels, cfg.branch_channels, cfg.branch_kernel, cfg.dropout_rate,
+            cfg.pooling, cfg.n_speakers, (rng.child("spk.conv"), rng.child("spk.out")),
         )
         # transition scores start at zero and train with the main group
         self.transitions = self.params.add(
@@ -162,17 +176,19 @@ def _run_stack(m: ModelGraph, x: Tensor, upto: int, mode: str, rngs, start: int 
     return h
 
 
-def _forward_packed(
-    m: ModelGraph, x: Tensor, packing: Packing, factor: float, mode: str, rngs,
+def forward(
+    m: ModelGraph, xs, factor: float = 0.0, mode: str = "eval", rngs=None,
     acoustic: bool = True, speaker: bool = True, encoder_grad: bool = True,
 ):
-    """The model's one forward pass, over a packed batch: (emissions, speaker
-    logits), ((sum T_b) x K, B x S), each None unless asked for.
+    """The model's one forward pass: the inputs packed into one batch, then
+    (packing, emissions, speaker logits), emissions (sum T_b) x K and logits
+    B x S, each None unless asked for.
 
     rngs holds one stream per utterance (train mode). The encoder below the
     fork runs once, so gradients from both heads accumulate on the same
     nodes. With encoder_grad False the encoder and head record no tape.
     """
+    x, packing = _pack(m, xs)
     with tz.no_grad(not encoder_grad):
         r_fork = _run_stack(m, x, m.cfg.fork_layer, mode, rngs, packing=packing)
         emissions = None
@@ -181,30 +197,25 @@ def _forward_packed(
             emissions = m.out.forward(h)
     logits = None
     if speaker:
-        h = grad_scale(r_fork, factor)
-        h = m.branch_conv.forward(h, mode, _layer_rngs(rngs, mode, "spk"), packing)
-        logits = m.branch_out.forward(pool(h, m.cfg.pooling, packing))
-    return emissions, logits
+        logits = m.branch.forward(grad_scale(r_fork, factor), mode, _layer_rngs(rngs, mode, "spk"), packing)
+    return packing, emissions, logits
 
 
-def _forward_one(m: ModelGraph, x, factor, mode, rng, acoustic, speaker):
-    xt, packing = _pack(m, [x])
-    em, logits = _forward_packed(m, xt, packing, factor, mode, None if rng is None else [rng], acoustic, speaker)
-    if logits is not None:
-        logits = tz.reshape(logits, (m.cfg.n_speakers,))
-    return em, logits
+def _streams(rng: RngStream | None):
+    return None if rng is None else [rng]
 
 
 def forward_acoustic(m: ModelGraph, x, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
     """Per-frame vocabulary scores (T x K); the speaker branch stays untouched."""
-    return _forward_one(m, x, 0.0, mode, rng, True, False)[0]
+    return forward(m, [x], 0.0, mode, _streams(rng), speaker=False)[1]
 
 
 def forward_speaker(
     m: ModelGraph, x, factor: float, mode: str = "eval", rng: RngStream | None = None
 ) -> Tensor:
     """Speaker logits (S,). Gradients entering the encoder are scaled by factor."""
-    return _forward_one(m, x, factor, mode, rng, False, True)[1]
+    logits = forward(m, [x], factor, mode, _streams(rng), acoustic=False)[2]
+    return tz.reshape(logits, (m.cfg.n_speakers,))
 
 
 def forward_joint(
@@ -215,7 +226,8 @@ def forward_joint(
     The encoder below the fork is evaluated once, so gradients from both
     heads accumulate on the same nodes.
     """
-    return _forward_one(m, x, factor, mode, rng, True, True)
+    _, emissions, logits = forward(m, [x], factor, mode, _streams(rng))
+    return emissions, tz.reshape(logits, (m.cfg.n_speakers,))
 
 
 # utterances per eval-mode forward; a whole split at once would hold all
@@ -223,19 +235,14 @@ def forward_joint(
 EVAL_CHUNK = 16
 
 
-def _chunks(items: list) -> list[list]:
+def chunks(items: list) -> list[list]:
+    """Consecutive runs of EVAL_CHUNK items, the last one shorter."""
     return [items[i : i + EVAL_CHUNK] for i in range(0, len(items), EVAL_CHUNK)]
 
 
-def _eval_packed(m: ModelGraph, xs, acoustic: bool = True, speaker: bool = False):
-    """Eval-mode (packing, emissions, logits) of a list of inputs, no tape."""
-    x, packing = _pack(m, xs)
-    with tz.no_grad():
-        return (packing, *_forward_packed(m, x, packing, 0.0, "eval", None, acoustic, speaker))
-
-
-def _represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
-    """Eval-mode activations of each input after the given block."""
+def represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
+    """Eval-mode activations of each input after the given gated-conv block
+    (layer 0 = input)."""
     if not (0 <= layer <= m.cfg.n_layers):
         raise ValueError(f"layer {layer} outside [0, {m.cfg.n_layers}]")
     x, packing = _pack(m, xs)
@@ -246,10 +253,10 @@ def _represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
 
 def extract_representation(m: ModelGraph, x, layer: int) -> np.ndarray:
     """Eval-mode activations after the given gated-conv block (layer 0 = input)."""
-    return _represent(m, [x], layer)[0]
+    return represent(m, [x], layer)[0]
 
 
-def _speaker_nlls(logits: Tensor, speakers) -> Tensor:
+def speaker_nlls(logits: Tensor, speakers) -> Tensor:
     """(B,) negative log likelihoods of each row's speaker under log-softmax logits."""
     one_hot = np.zeros(logits.shape)
     for b, s in enumerate(speakers):
@@ -262,7 +269,7 @@ def _speaker_nlls(logits: Tensor, speakers) -> Tensor:
 
 def speaker_nll(logits: Tensor, speaker: int) -> Tensor:
     """Negative log likelihood of the target speaker under log-softmax logits."""
-    return tz.reshape(_speaker_nlls(tz.reshape(logits, (1, logits.shape[0])), [speaker]), (1, 1))
+    return tz.reshape(speaker_nlls(tz.reshape(logits, (1, logits.shape[0])), [speaker]), (1, 1))
 
 
 # ---------------------------------------------------------------------------

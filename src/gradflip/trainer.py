@@ -77,7 +77,6 @@ def lambda_at(sched: LambdaSchedule, epoch: int, total_epochs: int) -> float:
 @dataclass(frozen=True)
 class TrainConfig:
     mode: str
-    fork: str
     lr_main: float
     lr_speaker: float
     batch_size: int
@@ -91,8 +90,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.fork not in ("in", "mid", "out"):
-            raise ValueError(f"fork must be in/mid/out, got {self.fork!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if min(self.epochs_a, self.epochs_b, self.epochs_c) < 0:
@@ -156,22 +153,21 @@ def _batch_losses(
     if speaker_only and mode != "semi":
         raise ValueError(f"speaker-only batch is only valid in semi mode, not {mode!r}")
 
-    x, packing = gm._pack(m, [u.features for u in batch])
     # one derived stream per utterance position: a layer's dropout mask
     # depends only on (stream, position, layer), never on the mode
     rngs = None if rng is None else [rng.child(f"u{i}") for i in range(len(batch))]
-    em, logits = gm._forward_packed(
-        m, x, packing, _junction_factor(mode, lam), "train", rngs,
+    packing, em, logits = gm.forward(
+        m, [u.features for u in batch], _junction_factor(mode, lam), "train", rngs,
         acoustic=not speaker_only, speaker=mode != "baseline", encoder_grad=main_grad,
     )
     scale = 1.0 / len(batch)
     ac = sp = None
     if em is not None:
         with tz.no_grad(not main_grad):
-            losses = asg._asg_losses(em, m.transitions, [u.transcript for u in batch], packing)
+            losses = asg.asg_losses(em, m.transitions, [u.transcript for u in batch], packing)
             ac = tz.smul(tz.sum_reduce(losses), scale)
     if logits is not None:
-        sp = tz.smul(tz.sum_reduce(gm._speaker_nlls(logits, [u.speaker for u in batch])), scale)
+        sp = tz.smul(tz.sum_reduce(gm.speaker_nlls(logits, [u.speaker for u in batch])), scale)
     return ac, sp
 
 
@@ -267,8 +263,9 @@ class TrainResult:
 def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
     ler = analysis.evaluate_ler(m, dev).value
     correct = 0
-    for chunk in gm._chunks(dev.utterances):
-        _, _, logits = gm._eval_packed(m, [u.features for u in chunk], acoustic=False, speaker=True)
+    for chunk in gm.chunks(dev.utterances):
+        with tz.no_grad():
+            _, _, logits = gm.forward(m, [u.features for u in chunk], acoustic=False)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]))
     return ler, correct / len(dev.utterances)
 

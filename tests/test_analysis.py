@@ -7,8 +7,9 @@ from gradflip import analysis as an, data as gd, model as gm
 from gradflip.analysis import RepDump, edit_distance
 from gradflip.data import Dataset, Utterance
 from gradflip.layers import PoolingConfig
-from gradflip.model import ModelConfig, build_model
+from gradflip.model import ModelConfig, SpeakerBranch, build_model
 from gradflip.rng import RngStream
+from gradflip.tensor import ParamStore
 
 
 def small_model(vocab=5, speakers=4, seed=60):
@@ -306,8 +307,12 @@ def test_probe_packed_batch_draws_one_dropout_stream_in_utterance_order():
         layer=1, items=[], n_speakers=3, branch_channels=5, branch_kernel=3,
         dropout_rate=0.25, pooling=PoolingConfig("logsumexp", 1.0),
     )
-    probe = an._Probe(6, dump, RngStream(3, "init"))
-    packed = probe.logits(reps, "train", RngStream(4, "dropout")).data
+    init = RngStream(3, "init")
+    probe = SpeakerBranch(
+        ParamStore(), "probe", 6, dump.branch_channels, dump.branch_kernel, dump.dropout_rate,
+        dump.pooling, dump.n_speakers, (init.child("conv"), init.child("out")),
+    )
+    packed = an._probe_logits(probe, reps, "train", RngStream(4, "dropout")).data
     stream = RngStream(4, "dropout")
-    alone = [probe.logits([rep], "train", stream).data[0] for rep in reps]
+    alone = [an._probe_logits(probe, [rep], "train", stream).data[0] for rep in reps]
     assert np.array_equal(packed, np.stack(alone))

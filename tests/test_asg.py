@@ -240,7 +240,7 @@ def ragged_batch(seed, k=4):
 def test_batched_losses_match_per_utterance():
     for seed in range(5):
         em, trs, targets, packing = ragged_batch(seed)
-        losses = asg._asg_losses(Tensor(em), Tensor(trs), targets, packing).data
+        losses = asg.asg_losses(Tensor(em), Tensor(trs), targets, packing).data
         for loss, block, y in zip(losses, packing.split(em), targets):
             assert abs(loss - asg.asg_loss(Tensor(block), Tensor(trs), y).item()) <= 1e-12
 
@@ -250,16 +250,16 @@ def test_batched_loss_gradients():
     # distinct weights: each utterance's posteriors carry its own upstream gradient
     weights = Tensor(np.arange(1.0, len(packing) + 1.0))
     check_gradients(
-        lambda e, t: tz.sum_reduce(tz.mul(asg._asg_losses(e, t, targets, packing), weights)), [em, trs], tol=1e-6
+        lambda e, t: tz.sum_reduce(tz.mul(asg.asg_losses(e, t, targets, packing), weights)), [em, trs], tol=1e-6
     )
 
 
 def test_batched_losses_no_cross_talk():
     em, trs, targets, packing = ragged_batch(12)
-    base = asg._asg_losses(Tensor(em), Tensor(trs), targets, packing).data
+    base = asg.asg_losses(Tensor(em), Tensor(trs), targets, packing).data
     changed = em.copy()
     changed[packing.starts[3] : packing.ends[3]] += 5.0
-    other = asg._asg_losses(Tensor(changed), Tensor(trs), targets[:3] + [[2, 0, 2, 3]] + targets[4:], packing).data
+    other = asg.asg_losses(Tensor(changed), Tensor(trs), targets[:3] + [[2, 0, 2, 3]] + targets[4:], packing).data
     keep = np.arange(len(packing)) != 3
     assert np.array_equal(base[keep], other[keep]) and base[3] != other[3]
 
@@ -271,7 +271,7 @@ def test_batched_viterbi_matches_per_utterance_with_ties():
         # integer scores on a coarse grid make tied optima common
         em = rng.integers(0, 2, size=(packing.rows, 3)).astype(float)
         trs = rng.integers(0, 2, size=(3, 3)).astype(float)
-        for path, block in zip(asg._viterbi(em, trs, packing), packing.split(em)):
+        for path, block in zip(asg.viterbi(em, trs, packing), packing.split(em)):
             assert np.array_equal(path, asg.viterbi_decode(block, trs))
-    paths = asg._viterbi(np.zeros((packing.rows, 3)), np.zeros((3, 3)), packing)
+    paths = asg.viterbi(np.zeros((packing.rows, 3)), np.zeros((3, 3)), packing)
     assert all(not p.any() for p in paths)

@@ -85,6 +85,14 @@ def test_gen_data_validation_error_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_gen_data_zero_offset_scale_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINI_CFG)
+    rc = main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d"), "--gen.offset_scale=0"])
+    assert rc == 2
+    assert "offset_scale must be positive" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exit_2(tmp_path):
     rc = main(["gen-data", "--out", str(tmp_path / "d"), "--gen.bogus=1"])
     assert rc == 2
@@ -113,6 +121,17 @@ def test_train_baseline_rejects_fork_flag(mini):
          "--out", str(tmp / "runs"), "--mode", "baseline", "--fork", "mid"]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("mode", ["al", "baseline"])
+def test_train_bogus_fork_key_exit_2(mini, capsys, mode):
+    cfg_path, data_dir, tmp = mini
+    rc = main(
+        ["train", "--config", str(cfg_path), "--data", str(data_dir),
+         "--out", str(tmp / "runs"), "--mode", mode, "--train.fork=bogus"]
+    )
+    assert rc == 2
+    assert "fork label must be in/mid/out" in capsys.readouterr().err
 
 
 def test_train_al_cell_directory(mini):
@@ -204,6 +223,32 @@ def test_train_non_finite_frame_exit_2(mini, capsys, part, lineno, value):
     )
     assert rc == 2  # bad input, not divergence
     assert f"{path}: line {lineno + 1}: key 'frames' must hold finite numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "part,lineno,transcript,message",
+    [
+        ("dev", 2, [], "target must contain at least one token"),
+        ("train", 1, [0, 0], "target has adjacent duplicate token 0"),
+        ("train", 3, [0, 9], "target token 9 outside vocabulary of size 5"),
+        ("dev", 1, [0, 1] * 100, "target length 200 exceeds frame count"),
+    ],
+    ids=["dev-empty", "train-adjacent-duplicate", "train-outside-vocabulary", "dev-too-long"],
+)
+def test_train_illegal_transcript_exit_2(mini, capsys, part, lineno, transcript, message):
+    cfg_path, data_dir, tmp = mini
+    path = data_dir / f"synth.{part}"
+    lines = path.read_text().splitlines()
+    doc = json.loads(lines[lineno])
+    doc["transcript"] = transcript
+    lines[lineno] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        ["train", "--config", str(cfg_path), "--data", str(data_dir),
+         "--out", str(tmp / "runs"), "--mode", "al", "--fork", "in"]
+    )
+    assert rc == 2
+    assert f"{path}: line {lineno + 1}: key 'transcript': {message}" in capsys.readouterr().err
 
 
 def lambda_column(cell):

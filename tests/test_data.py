@@ -66,6 +66,16 @@ def test_degenerate_generator_frames_equal_prototypes():
         assert t == len(u.features), "every frame must equal its token prototype"
 
 
+def test_offset_scale_must_separate_two_or_more_speakers():
+    # a zero scale gives every speaker the zero offset; generate() used to
+    # redraw duplicate offsets forever
+    for kw in (
+        dict(offset_scale=0.0), dict(offset_scale=-0.5), dict(n_speakers=1, semi_speakers=1, offset_scale=0.0),
+    ):
+        with pytest.raises(ValueError, match="offset_scale must be positive"):
+            small_cfg(**kw)
+
+
 def test_transcripts_legal_and_short_enough():
     ds = gd.generate(small_cfg(utterances_per_speaker=20))
     for u in ds.utterances:

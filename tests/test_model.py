@@ -50,8 +50,8 @@ def test_full_scale_preset_builds():
     )
     m = build_model(cfg, seed=1)
     # branch preset: width 5, 200 feature maps
-    assert m.branch_conv.kernel_width == 5
-    assert m.branch_conv.out_channels == 200
+    assert m.branch.conv.kernel_width == 5
+    assert m.branch.conv.out_channels == 200
     assert len(m.stack) == 17
     # forward/backward smoke through the deep stack
     x = rand_input(t_len=5, dim=8, seed=40)
@@ -328,15 +328,15 @@ def ragged_inputs():
 def test_packed_eval_equals_per_utterance_bit_for_bit():
     m = build_model(toy_config(), seed=61)
     xs = ragged_inputs()
-    packing, em, logits = gm._eval_packed(m, xs, acoustic=True, speaker=True)
     with tz.no_grad():
+        packing, em, logits = gm.forward(m, xs)
         for x, em_b, logits_b in zip(xs, packing.split(em.data), logits.data):
             em1, logits1 = gm.forward_joint(m, x, 0.0)
             assert np.array_equal(em_b, em1.data) and np.array_equal(logits_b, logits1.data)
             assert np.array_equal(em_b, gm.forward_acoustic(m, x).data)
             assert np.array_equal(logits_b, gm.forward_speaker(m, x, 0.0).data)
     for layer in range(m.cfg.n_layers + 1):
-        for rep, x in zip(gm._represent(m, xs, layer), xs):
+        for rep, x in zip(gm.represent(m, xs, layer), xs):
             assert np.array_equal(rep, gm.extract_representation(m, x, layer))
 
 
@@ -344,8 +344,7 @@ def test_packed_train_forward_draws_each_utterances_own_masks():
     m = build_model(toy_config(), seed=62)
     xs = ragged_inputs()
     streams = [RngStream(5, f"u{i}") for i in range(len(xs))]
-    x, packing = gm._pack(m, xs)
-    em, logits = gm._forward_packed(m, x, packing, 0.3, "train", streams)
+    packing, em, logits = gm.forward(m, xs, 0.3, "train", streams)
     for b, (xb, stream) in enumerate(zip(xs, streams)):
         em1, logits1 = gm.forward_joint(m, xb, 0.3, "train", stream)
         assert np.array_equal(packing.split(em.data)[b], em1.data)
@@ -353,11 +352,10 @@ def test_packed_train_forward_draws_each_utterances_own_masks():
 
 
 def packed_outputs(m, xs):
-    x, packing = gm._pack(m, xs)
     with tz.no_grad():
-        em, logits = gm._forward_packed(m, x, packing, 0.0, "eval", None)
-        ac = asg._asg_losses(em, m.transitions, TARGETS, packing).data
-        sp = gm._speaker_nlls(logits, [0, 1, 2, 0, 1]).data
+        packing, em, logits = gm.forward(m, xs)
+        ac = asg.asg_losses(em, m.transitions, TARGETS, packing).data
+        sp = gm.speaker_nlls(logits, [0, 1, 2, 0, 1]).data
     return packing.split(em.data), logits.data, ac, sp
 
 
