@@ -106,6 +106,8 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
     The probed checkpoint is never touched; representations enter as
     constants.
     """
+    if epochs < 0:
+        raise ValueError(f"probe epochs must be >= 0, got {epochs}")
     speakers = {s for _, _, s in dump.items}
     if len(speakers) < 2:
         raise ValueError("probe needs representations from at least 2 speakers")

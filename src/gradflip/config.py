@@ -16,6 +16,7 @@ spells out every value a run used.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -87,10 +88,14 @@ def _coerce(key: str, raw: str):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
-        return text
+            value = float(text)
+        else:
+            return text
     except ValueError:
         raise ValueError(f"config key {key}: cannot parse {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key}: {raw!r} is not a finite number")
+    return value
 
 
 def load_config_file(path) -> dict[str, object]:

@@ -7,6 +7,9 @@ branch to the encoder. Everything is a pure function over tensors; the
 two small layer classes just own weight-normalized parameters. Layers
 take a packed batch (`Packing`): utterances stacked along time, with no
 tap, mask or pooled value crossing from one utterance into another.
+conv1d, glu, weight_norm and pool each record one tape node whose numpy
+backward runs the float operations of the primitive ops it replaces, in
+the tape's order, so values and gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -76,16 +79,21 @@ class Packing:
             self._cache[key] = np.where(inside, np.arange(self.rows)[:, None] + shift, self.rows)
         return self._cache[key]
 
-    def grid(self, repeat_first: bool = False) -> np.ndarray:
-        """(B, T_max) row of frame t of utterance b. Slots past an utterance's
-        end read row `rows` (zeros), or with repeat_first its first frame."""
-        key = ("grid", repeat_first)
-        if key not in self._cache:
-            fill = self.starts[:, None] if repeat_first else self.rows
-            idx = np.broadcast_to(fill, (len(self), int(self.lengths.max()))).copy()
+    def grid(self) -> np.ndarray:
+        """(B, T_max) row of frame t of utterance b; slots past an
+        utterance's end read row `rows`."""
+        if "grid" not in self._cache:
+            idx = np.full((len(self), int(self.lengths.max())), self.rows)
             idx[self.segment, self.offset] = np.arange(self.rows)
-            self._cache[key] = idx
-        return self._cache[key]
+            self._cache["grid"] = idx
+        return self._cache["grid"]
+
+    def sums(self, arr: np.ndarray) -> np.ndarray:
+        """(B, ...) sum over each utterance's rows, added in row order."""
+        out = np.empty((len(self),) + arr.shape[1:])
+        for b, (i, j) in enumerate(zip(self.starts.tolist(), self.ends.tolist())):
+            arr[i:j].sum(axis=0, out=out[b])
+        return out
 
     def split(self, arr: np.ndarray) -> list[np.ndarray]:
         """Per-utterance row blocks of a packed array."""
@@ -100,12 +108,21 @@ def _packing(x: Tensor, packing: Packing | None) -> Packing:
     return packing
 
 
+def _scatter_rows(index: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) sums of the rows of g, row k landing on row index[k]; an index
+    of n is dropped. Flattened for bincount, element c of a row lands in bin
+    index * C + c, and each bin adds in row order, as np.add.at would."""
+    width = g.shape[-1]
+    bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    return np.bincount(bins, weights=g.reshape(-1), minlength=(n + 1) * width)[: n * width].reshape(n, width)
+
+
 def conv1d(
     x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int, packing: Packing | None = None
 ) -> Tensor:
     """Stride-1 1D convolution over a T x C_in input, zero padded so the
     output keeps length T. Each utterance of a packed batch is convolved on
-    its own: a tap that leaves its utterance reads zeros.
+    its own: a tap that leaves its utterance reads zeros. One tape node.
 
     weight has shape (kernel_width * C_in, C_out), rows ordered tap-major:
     row w * C_in + c is tap w (leftmost first) of input channel c.
@@ -118,29 +135,61 @@ def conv1d(
             f"conv1d: weight rows {weight.shape[0]} != kernel_width*C_in {kernel_width * c_in}"
         )
     taps = _packing(x, packing).taps(kernel_width)
-    unfolded = tz.reshape(tz.take_rows(x, taps), (t_len, kernel_width * c_in))
-    return tz.add(tz.matmul(unfolded, weight), bias)
+    unfolded = np.concatenate([x.data, np.zeros((1, c_in))])[taps].reshape(t_len, kernel_width * c_in)
+
+    def bw(g, grads):
+        if x.grad_tracked:  # the frozen input of a probe, or the features, take no gradient
+            tz._acc(grads, x, _scatter_rows(taps, (g @ weight.data.T).reshape(-1, c_in), t_len))
+        tz._acc(grads, weight, unfolded.T @ g)
+        tz._acc(grads, bias, g.sum(axis=0))
+
+    with np.errstate(all="ignore"):
+        out = tz._row_blocked_product(unfolded, weight.data) + bias.data
+    return tz._node(out, "conv1d", (x, weight, bias), bw)
 
 
 def glu(x: Tensor) -> Tensor:
-    """Gated linear unit: split channels into halves A, B; output A * sigmoid(B)."""
+    """Gated linear unit: split channels into halves A, B; output A * sigmoid(B).
+    One tape node."""
     if x.data.ndim != 2 or x.shape[1] % 2 != 0:
         raise tz.ShapeMismatch(f"glu: needs an even channel count, got {x.shape}")
     half = x.shape[1] // 2
-    a = tz.slice_axis(x, 1, 0, half)
-    b = tz.slice_axis(x, 1, half, 2 * half)
-    return tz.mul(a, tz.sigmoid(b))
+    a, b = x.data[:, :half], x.data[:, half:]
+    with np.errstate(all="ignore"):
+        gate = 0.5 * (1.0 + np.tanh(0.5 * b))  # tanh form: no overflow for large negative b
+        out = a * gate
+
+    def bw(g, grads):
+        tz._acc(grads, x, np.concatenate([g * gate, g * a * gate * (1.0 - gate)], axis=1))
+
+    return tz._node(out, "glu", (x,), bw)
 
 
 def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     """w = g * v / ||v||, norm taken per output unit (per column of v).
+    One tape node.
 
     Both g and v stay trainable; the gradient flows through the norm.
     """
     if v.data.ndim != 2 or g.shape != (v.shape[1],):
         raise tz.ShapeMismatch(f"weight_norm: v {v.shape} needs g of shape ({v.shape[1]},)")
-    sumsq = tz.sum_reduce(tz.mul(v, v), axis=0)
-    return tz.mul(v, tz.mul(g, tz.pow_scalar(sumsq, -0.5)))
+    with np.errstate(all="ignore"):
+        sumsq = (v.data * v.data).sum(axis=0)
+        # an infinite norm would zero w rather than make it non-finite; a
+        # zero norm makes w NaN, which the node's check rejects
+        tz._check_finite("weight_norm", sumsq)
+        inv_norm = sumsq**-0.5
+        scale = g.data * inv_norm
+        out = v.data * scale
+
+    def bw(gw, grads):
+        g_scale = (gw * v.data).sum(axis=0)
+        g_sumsq = g_scale * g.data * -0.5 * sumsq**-1.5
+        tz._acc(grads, g, g_scale * inv_norm)
+        # the direct path, then both operands of v * v, summed in that order
+        tz._acc(grads, v, gw * scale + g_sumsq * v.data + g_sumsq * v.data)
+
+    return tz._node(out, "weight_norm", (v, g), bw)
 
 
 def dropout(
@@ -166,28 +215,48 @@ def dropout(
 
 def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tensor:
     """Aggregate an L x C representation over time into a C-vector, or each
-    utterance of a packed batch into a row of a B x C matrix.
+    utterance of a packed batch into a row of a B x C matrix. One tape node.
 
     LogSumExp pooling computes (1/tau) * log((1/L) * sum_t exp(tau * r_t));
     the max is factored out before exponentiation, which keeps it exact on
-    constant sequences and overflow-free everywhere. Utterances are padded
-    to a common length for the reductions: with zeros for sums, with their
-    first frame for maxima (a copy never changes a max and loses every tie).
+    constant sequences and overflow-free everywhere. The gradient of a max
+    goes to the first frame that holds it.
     """
     if r.data.ndim != 2 or r.shape[0] < 1:
         raise tz.ShapeMismatch(f"pool: input must be L x C with L >= 1, got {r.shape}")
     seg = _packing(r, packing)
-    if cfg.kind == "sum":
-        out = tz.sum_reduce(tz.take_rows(r, seg.grid()), axis=1)
-    elif cfg.kind == "max":
-        out = tz.max_reduce(tz.take_rows(r, seg.grid(repeat_first=True)), axis=1)
-    else:
-        m = tz.max_reduce(tz.take_rows(r, seg.grid(repeat_first=True)), axis=1)
-        z = tz.smul(tz.sub(r, tz.take_rows(m, seg.segment)), cfg.tau)
-        total = tz.sum_reduce(tz.take_rows(tz.exp(z), seg.grid()), axis=1)
-        mean_exp = tz.mul(total, Tensor(1.0 / seg.lengths[:, None]))
-        out = tz.add(m, tz.smul(tz.log(mean_exp), 1.0 / cfg.tau))
-    return out if packing is not None else tz.reshape(out, (r.shape[1],))
+    x, inv_len = r.data, 1.0 / seg.lengths[:, None]
+    with np.errstate(all="ignore"):
+        if cfg.kind == "sum":
+            out = seg.sums(x)
+        else:
+            out = top = np.maximum.reduceat(x, seg.starts, axis=0)
+        if cfg.kind == "logsumexp":
+            e = np.exp((x - top[seg.segment]) * cfg.tau)
+            mean_exp = seg.sums(e) * inv_len
+            out = top + np.log(mean_exp) * (1.0 / cfg.tau)
+
+    def to_top(g_top):
+        # each (utterance, channel) gradient lands on the first row holding the max
+        first = np.where(x == top[seg.segment], np.arange(seg.rows)[:, None], seg.rows)
+        full = np.zeros_like(x)
+        full[np.minimum.reduceat(first, seg.starts, axis=0), np.arange(x.shape[1])] = g_top
+        return full
+
+    def bw(g, grads):
+        g = g.reshape(out.shape)
+        if cfg.kind == "sum":
+            g_r = g[seg.segment]
+        elif cfg.kind == "max":
+            g_r = to_top(g)
+        else:
+            g_e = ((g * (1.0 / cfg.tau)) / mean_exp * inv_len)[seg.segment]
+            g_shift = g_e * e * cfg.tau
+            # the max enters directly and through every shifted frame
+            g_r = g_shift + to_top(g + _scatter_rows(seg.segment, -g_shift, len(seg)))
+        tz._acc(grads, r, g_r)
+
+    return tz._node(out if packing is not None else out.reshape(r.shape[1]), "pool", (r,), bw)
 
 
 def _init_uniform(rng: RngStream, fan_in: int, kernel_width: int, shape) -> np.ndarray:

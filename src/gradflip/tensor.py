@@ -315,24 +315,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _node(a.data[index], "slice_axis", (a,), bw, check=False)
 
 
-def take_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Rows of `a` picked by an integer array: out[i, ...] = a[index[i, ...]].
-    An index equal to a's row count picks a row of zeros."""
-    index = np.asarray(index)
-    n, rest = a.shape[0], a.shape[1:]
-
-    def bw(g, grads):
-        # scatter-add, flattened for bincount: element k of row i lands in
-        # bin i * width + k; sums run in index order, as np.add.at's would
-        width = int(np.prod(rest))
-        bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        full = np.bincount(bins, weights=g.reshape(-1), minlength=(n + 1) * width)
-        _acc(grads, a, full[: n * width].reshape(a.shape))
-
-    rows = np.concatenate([a.data, np.zeros((1,) + rest)])
-    return _node(rows[index], "take_rows", (a,), bw, check=False)
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = tuple(tensors)
     if not tensors:

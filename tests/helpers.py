@@ -58,3 +58,17 @@ def check_gradients(build_loss, arrays, tol=1e-6, eps=EPS):
     worst = max(grad_error(a, n) for a, n in zip(analytic, numeric))
     assert worst <= tol, f"gradient check failed: scaled error {worst:.3e} > {tol}"
     return worst
+
+
+def count_tape_nodes(monkeypatch):
+    """Spy on tz.backward: appends the number of recorded nodes of each
+    tape it differentiates."""
+    counts = []
+    backward = tz.backward
+
+    def spy(loss, wrt):
+        counts.append(len(tz._topo_from(loss)))
+        return backward(loss, wrt)
+
+    monkeypatch.setattr(tz, "backward", spy)
+    return counts

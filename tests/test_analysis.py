@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -10,6 +11,7 @@ from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, SpeakerBranch, build_model
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore
+from helpers import count_tape_nodes
 
 
 def small_model(vocab=5, speakers=4, seed=60):
@@ -223,6 +225,18 @@ def test_probe_single_speaker_errors():
     items = [(f"u{i}", rng.normal(size=(4, 3)), 0) for i in range(10)]
     with pytest.raises(ValueError, match="2 speakers"):
         an.train_probe(fake_dump(items, 1), epochs=1, seed=4)
+
+
+def test_probe_batch_tape_node_count(monkeypatch):
+    # gated conv (weight norm, conv, GLU, dropout), pool, linear head (weight
+    # norm, matmul, add), speaker NLL (log-sum-exp, mul, sum, sub), batch
+    # sum and scale; the frozen input records nothing
+    counts = count_tape_nodes(monkeypatch)
+    rng = np.random.default_rng(87)
+    items = balanced_items(rng, lambda r, s, t, d: r.normal(size=(t, d)), n=20)
+    dump = dataclasses.replace(fake_dump(items, 4), dropout_rate=0.25)
+    an.train_probe(dump, epochs=1, seed=5)
+    assert counts == [14, 14]
 
 
 def test_probe_on_raw_inputs_beats_three_times_chance():

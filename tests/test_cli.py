@@ -93,6 +93,19 @@ def test_gen_data_zero_offset_scale_exit_2(tmp_path, capsys):
     assert "offset_scale must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["--gen.noise_sigma=nan", "--gen.offset_scale=inf", "--gen.gain_max=inf"])
+def test_gen_data_non_finite_config_value_exit_2(tmp_path, capsys, override):
+    # nan noise used to write noise-free data, an infinite offset scale NaN
+    # frames, and an infinite gain an OverflowError traceback
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINI_CFG)
+    rc = main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d"), override])
+    assert rc == 2
+    key, _, raw = override[2:].partition("=")
+    assert f"error: config key {key}: '{raw}' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_unknown_config_key_exit_2(tmp_path):
     rc = main(["gen-data", "--out", str(tmp_path / "d"), "--gen.bogus=1"])
     assert rc == 2
@@ -525,6 +538,15 @@ def test_eval_exits_2_on_non_finite_numbers(eval_inputs, name, lineno, path, val
     eval_with_edit(root, files, name, lineno, path, poison)
 
 
+def test_probe_negative_epochs_exit_2(eval_inputs, capsys):
+    root = eval_inputs[0]
+    argv = ["probe", "--checkpoints", f"m={root}/model.ckpt", "--layers", "1", "--data",
+            f"{root}/data/synth.dev", "--out", f"{root}/probe-negative", "--probe.epochs=-3"]
+    assert main(argv) == 2
+    assert "probe epochs must be >= 0, got -3" in capsys.readouterr().err
+    assert not (root / "probe-negative" / "probe.csv").exists()
+
+
 def overflowing_checkpoint(root):
     """A valid checkpoint whose forward pass overflows: finite but huge gains."""
     doc = json.loads((root / "model.ckpt").read_text())
@@ -541,7 +563,7 @@ def overflowing_checkpoint(root):
     [
         (["eval", "--checkpoint", "{ckpt}", "--data", "{root}/data/synth.dev", "--out", "{root}/ev-huge"], "matmul"),
         (["probe", "--checkpoints", "m={ckpt}", "--layers", "1", "--data", "{root}/data/synth.dev",
-          "--out", "{root}/probe-huge"], "mul"),
+          "--out", "{root}/probe-huge"], "weight_norm"),
     ],
     ids=["eval", "probe"],
 )

@@ -98,6 +98,15 @@ def test_weight_norm_zero_gain():
     np.testing.assert_allclose(layers.weight_norm(v, g).data, 0.0)
 
 
+def test_weight_norm_non_finite_norm_raises():
+    # an overflowing norm would scale its column to zero; a zero norm to NaN
+    g = Tensor(np.ones(2))
+    for column in ([1e200, 1.0], [0.0, 0.0]):
+        v = Tensor(np.array([column, [1.0, 2.0]]).T)
+        with pytest.raises(tz.NumericOverflow, match="^weight_norm: "):
+            layers.weight_norm(v, g)
+
+
 def test_weight_norm_gradient():
     rng = np.random.default_rng(14)
     v = rng.normal(size=(4, 3))
@@ -355,3 +364,138 @@ def test_packed_dropout_masks_are_the_per_utterance_draws():
     shared = RngStream(9, "p")
     alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", [shared]).data for n in LENGTHS]
     assert np.array_equal(out.data, np.concatenate(alone))
+
+
+# --- fused layers against their former tape compositions, bit for bit ---
+#
+# conv1d, glu, weight_norm and pool each record one tape node. The
+# references below are the primitive-op compositions they replaced, with
+# the row gather the tape used to provide; forward values and gradients
+# must agree exactly, not within a tolerance.
+
+
+def ref_take_rows(a, index):
+    """out[i, ...] = a[index[i, ...]]; an index equal to a's row count reads zeros."""
+    index = np.asarray(index)
+    n, rest = a.shape[0], a.shape[1:]
+
+    def bw(g, grads):
+        width = int(np.prod(rest))
+        bins = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        full = np.bincount(bins, weights=g.reshape(-1), minlength=(n + 1) * width)
+        tz._acc(grads, a, full[: n * width].reshape(a.shape))
+
+    rows = np.concatenate([a.data, np.zeros((1,) + rest)])
+    return tz._node(rows[index], "take_rows", (a,), bw, check=False)
+
+
+def ref_grid(packing, repeat_first=False):
+    fill = packing.starts[:, None] if repeat_first else packing.rows
+    idx = np.broadcast_to(fill, (len(packing), int(packing.lengths.max()))).copy()
+    idx[packing.segment, packing.offset] = np.arange(packing.rows)
+    return idx
+
+
+def ref_conv1d(x, weight, bias, kernel_width, packing=None):
+    t_len, c_in = x.shape
+    taps = (packing or layers.Packing((t_len,))).taps(kernel_width)
+    unfolded = tz.reshape(ref_take_rows(x, taps), (t_len, kernel_width * c_in))
+    return tz.add(tz.matmul(unfolded, weight), bias)
+
+
+def ref_glu(x):
+    half = x.shape[1] // 2
+    return tz.mul(tz.slice_axis(x, 1, 0, half), tz.sigmoid(tz.slice_axis(x, 1, half, 2 * half)))
+
+
+def ref_weight_norm(v, g):
+    sumsq = tz.sum_reduce(tz.mul(v, v), axis=0)
+    return tz.mul(v, tz.mul(g, tz.pow_scalar(sumsq, -0.5)))
+
+
+def ref_pool(r, cfg, packing=None):
+    seg = packing or layers.Packing((r.shape[0],))
+    if cfg.kind == "sum":
+        out = tz.sum_reduce(ref_take_rows(r, ref_grid(seg)), axis=1)
+    elif cfg.kind == "max":
+        out = tz.max_reduce(ref_take_rows(r, ref_grid(seg, repeat_first=True)), axis=1)
+    else:
+        m = tz.max_reduce(ref_take_rows(r, ref_grid(seg, repeat_first=True)), axis=1)
+        z = tz.smul(tz.sub(r, ref_take_rows(m, seg.segment)), cfg.tau)
+        total = tz.sum_reduce(ref_take_rows(tz.exp(z), ref_grid(seg)), axis=1)
+        mean_exp = tz.mul(total, Tensor(1.0 / seg.lengths[:, None]))
+        out = tz.add(m, tz.smul(tz.log(mean_exp), 1.0 / cfg.tau))
+    return out if packing is not None else tz.reshape(out, (r.shape[1],))
+
+
+FUSED = (layers.conv1d, layers.glu, layers.weight_norm, layers.pool)
+REFERENCE = (ref_conv1d, ref_glu, ref_weight_norm, ref_pool)
+
+
+def run_block(fns, arrays, cfg, packing, x_tracked=True):
+    """Weight norm -> conv1d -> GLU -> pool -> weighted sum, as one tape;
+    returns every intermediate value and the gradients of all leaves."""
+    conv1d, glu, weight_norm, pool = fns
+    x, v, g, b, weights = arrays
+    leaves = [Tensor(x.copy(), grad_tracked=x_tracked)] + [Tensor(a.copy(), grad_tracked=True) for a in (v, g, b)]
+    w = weight_norm(leaves[1], leaves[2])
+    h = conv1d(leaves[0], w, leaves[3], 3, packing)
+    y = glu(h)
+    p = pool(y, cfg, packing)
+    loss = tz.sum_reduce(tz.mul(p, Tensor(weights[: p.shape[0]] if p.data.ndim == 2 else weights[0])))
+    return [w.data, h.data, y.data, p.data], tz.backward(loss, leaves)
+
+
+def block_arrays(rows, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(rows, 3)), rng.normal(size=(9, 8)), rng.uniform(0.5, 2.0, size=8), rng.normal(size=8),
+            rng.normal(size=(len(LENGTHS), 4))]
+
+
+@pytest.mark.parametrize("kind", layers.POOL_KINDS)
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "lone"])
+@pytest.mark.parametrize("x_tracked", [True, False], ids=["tracked-input", "untracked-input"])
+def test_fused_layers_equal_tape_composition_bitwise(kind, packed, x_tracked):
+    packing = layers.Packing(LENGTHS) if packed else None
+    arrays = block_arrays(sum(LENGTHS) if packed else 7, seed=41)
+    cfg = PoolingConfig(kind, 1.7)
+    got_values, got_grads = run_block(FUSED, arrays, cfg, packing, x_tracked)
+    ref_values, ref_grads = run_block(REFERENCE, arrays, cfg, packing, x_tracked)
+    for name, got, ref in zip(("weight_norm", "conv1d", "glu", "pool"), got_values, ref_values):
+        assert got.shape == ref.shape and np.array_equal(got, ref), name
+    for name, got, ref in zip(("x", "v", "g", "b"), got_grads, ref_grads):
+        assert np.array_equal(got, ref), name
+    if not x_tracked:
+        assert not np.any(got_grads[0])
+
+
+@pytest.mark.parametrize("kind", layers.POOL_KINDS)
+def test_fused_pool_ties_equal_tape_composition_bitwise(kind):
+    # constant utterances, and a maximum repeated later in its utterance:
+    # the gradient of a max goes to the first frame holding it
+    packing = layers.Packing((3, 4, 1, 5))
+    rng = np.random.default_rng(42)
+    r = rng.normal(size=(packing.rows, 3))
+    r[0:3] = 0.5
+    r[3:7, 1] = [1.0, 3.0, 2.0, 3.0]
+    r[8:13] = r[10]
+    weights = Tensor(rng.normal(size=(4, 3)))
+    grads = []
+    for pool in (layers.pool, ref_pool):
+        t = Tensor(r.copy(), grad_tracked=True)
+        out = pool(t, PoolingConfig(kind, 0.8), packing)
+        grads.append((out.data, tz.backward(tz.sum_reduce(tz.mul(out, weights)), [t])[0]))
+    (got, got_grad), (ref, ref_grad) = grads
+    assert np.array_equal(got, ref) and np.array_equal(got_grad, ref_grad)
+    if kind == "max":
+        assert got_grad[4, 1] == weights.data[1, 1] and got_grad[6, 1] == 0.0
+
+
+def test_packed_one_channel_sum_pool_equals_per_utterance():
+    # sums run per utterance, so a long one-channel utterance adds its frames
+    # in the same order alone and in a batch
+    packing = layers.Packing((37, 5, 130))
+    r = np.random.default_rng(43).normal(size=(packing.rows, 1))
+    pooled = layers.pool(Tensor(r), PoolingConfig("sum", 1.0), packing).data
+    for got, block in zip(pooled, packing.split(r)):
+        assert np.array_equal(got, layers.pool(Tensor(block), PoolingConfig("sum", 1.0)).data)

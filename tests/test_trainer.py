@@ -9,6 +9,7 @@ from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
 from gradflip.trainer import LambdaSchedule, TrainConfig, lambda_at
+from helpers import count_tape_nodes
 
 
 def tiny_data(seed=101, semi_speakers=0, utts=6):
@@ -250,6 +251,25 @@ def test_step_tape_does_not_grow_with_batch_size(monkeypatch):
         tr.step(tiny_model(), batch_of(train_ds, n), "al", 0.3, 0.05, 0.02, RngStream(4, "d"))
         tapes[n] = [op for op, tracked in made if tracked]
     assert tapes[1] == tapes[8]
+
+
+@pytest.mark.parametrize(
+    "lam,groups,nodes",
+    [(0.0, ("main", "speaker"), 41), (0.0, ("speaker",), 14), (0.3, ("main", "speaker"), 42)],
+    ids=["phase-A", "phase-B", "phase-C"],
+)
+def test_al_step_tape_node_count(monkeypatch, lam, groups, nodes):
+    # toy preset: a gated-conv block records weight norm, conv, GLU and
+    # dropout; a linear head weight norm, matmul and add. Phase C: 5 blocks
+    # and the head (23), ASG loss, sum and scale (3), the junction (1), the
+    # branch's block, pool and head (8), speaker NLL, sum and scale (6), and
+    # the objective's add (1). Phase A's junction at lambda 0 records
+    # nothing; phase B records the speaker side only, junction excluded.
+    counts = count_tape_nodes(monkeypatch)
+    train_ds, _ = tiny_data()
+    cfg = cf.model_config(cf.SCHEMA, train_ds.dim, len(train_ds.vocab), len(train_ds.speakers))
+    tr.step(build_model(cfg, seed=3), batch_of(train_ds, 8), "al", lam, 0.03, 0.1, RngStream(4, "d"), groups)
+    assert counts == [nodes]
 
 
 def test_speaker_only_batch_rejected_outside_semi():
