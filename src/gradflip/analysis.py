@@ -56,7 +56,7 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     m = _as_model(checkpoint)
     items = [
         (u.id, rep, u.speaker)
-        for chunk in gm.chunks(dataset.utterances)
+        for chunk in gm.chunks(dataset.utterances, [len(u.features) for u in dataset.utterances])
         for u, rep in zip(chunk, gm.represent(m, [u.features for u in chunk], layer))
     ]
     return RepDump(
@@ -134,24 +134,45 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
 
     correct = 0
     with tz.no_grad():
-        for chunk in gm.chunks([dump.items[i] for i in eval_idx]):
+        held_out = [dump.items[i] for i in eval_idx]
+        for chunk in gm.chunks(held_out, [len(rep) for _, rep, _ in held_out]):
             logits = _probe_logits(probe, [rep for _, rep, _ in chunk], "eval", None)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == [speaker for _, _, speaker in chunk]))
     return correct / len(eval_idx)
 
 
 def edit_distance(a, b) -> int:
-    """Minimal insert + delete + substitute count (classic Levenshtein DP)."""
+    """Minimal insert + delete + substitute count of two sequences of
+    hashable tokens: Myers' bit-parallel Levenshtein (J. ACM 46(3), 1999)
+    in Hyyrö's 2001 form, one pass over the longer sequence with one bit
+    of a Python int per token of the shorter.
+
+    Bit i of vp (vn) says that column entry D[i+1][j] is one more (less)
+    than D[i][j]; `score` follows the bottom row, D[m][j]."""
     a, b = list(a), list(b)
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}  # token -> bits of its positions in b
+    for i, tok in enumerate(b):
+        peq[tok] = peq.get(tok, 0) | 1 << i
+    full, last = (1 << m) - 1, 1 << (m - 1)
+    vp, vn, score = full, 0, m
+    for tok in a:
+        x = peq.get(tok, 0) | vn
+        d0 = (((x & vp) + vp) ^ vp) | x
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(d0 | hp)) & full
+        vn = hp & d0 & full
+    return score
 
 
 @dataclass
@@ -185,6 +206,7 @@ def _word_errors(hyp, ref, separator: int) -> tuple[int, int]:
 
 
 ERROR_RATES = {"ler": _letter_errors, "wer": _word_errors}
+REFERENCE_UNITS = {"ler": "tokens", "wer": "words"}
 
 
 def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[str, EvalResult]:
@@ -195,7 +217,9 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
     errors = dict.fromkeys(metrics, 0)
     totals = dict.fromkeys(metrics, 0)
     transcribed = [u for u in dataset.utterances if u.transcript is not None]
-    for chunk in gm.chunks(transcribed):
+    if not transcribed:
+        raise ValueError("dataset has no transcribed utterances to score")
+    for chunk in gm.chunks(transcribed, [len(u.features) for u in transcribed]):
         with tz.no_grad():
             packing, em, _ = gm.forward(m, [u.features for u in chunk], speaker=False)
         for u, path in zip(chunk, asg.viterbi(em.data, m.transitions.data, packing)):
@@ -204,9 +228,10 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
                 err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
                 errors[name] += err
                 totals[name] += n
+    for name in metrics:
+        if totals[name] == 0:
+            raise ValueError(f"{name}: the references hold no {REFERENCE_UNITS[name]}")
     scored, skipped = len(transcribed), len(dataset.utterances) - len(transcribed)
-    if any(n == 0 for n in totals.values()):
-        raise ValueError("dataset has no transcribed utterances to score")
     return {name: EvalResult(errors[name] / totals[name], scored, skipped) for name in metrics}
 
 

@@ -230,14 +230,24 @@ def forward_joint(
     return emissions, tz.reshape(logits, (m.cfg.n_speakers,))
 
 
-# utterances per eval-mode forward; a whole split at once would hold all
-# of its activations in memory together
-EVAL_CHUNK = 16
+# the most frames (rows) one eval-mode forward packs; a budget in frames
+# bounds the activations held together whatever the utterance lengths
+EVAL_FRAMES = 4096
 
 
-def chunks(items: list) -> list[list]:
-    """Consecutive runs of EVAL_CHUNK items, the last one shorter."""
-    return [items[i : i + EVAL_CHUNK] for i in range(0, len(items), EVAL_CHUNK)]
+def chunks(items: list, frames: list[int]) -> list[list]:
+    """Consecutive runs of items, in order, each holding at least one item
+    and at most EVAL_FRAMES frames in all; frames[i] is item i's frame
+    count, and an item over the budget gets a run of its own."""
+    runs: list[list] = []
+    total = 0
+    for item, n in zip(items, frames, strict=True):
+        if not runs or total + n > EVAL_FRAMES:
+            runs.append([])
+            total = 0
+        runs[-1].append(item)
+        total += n
+    return runs
 
 
 def represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:

@@ -263,7 +263,7 @@ class TrainResult:
 def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
     ler = analysis.evaluate_ler(m, dev).value
     correct = 0
-    for chunk in gm.chunks(dev.utterances):
+    for chunk in gm.chunks(dev.utterances, [len(u.features) for u in dev.utterances]):
         with tz.no_grad():
             _, _, logits = gm.forward(m, [u.features for u in chunk], acoustic=False)
         correct += int(np.sum(np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]))

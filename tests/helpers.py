@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gradflip import tensor as tz
+from gradflip import model as gm, tensor as tz
 
 EPS = 1e-5
 
@@ -72,3 +72,17 @@ def count_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(tz, "backward", spy)
     return counts
+
+
+# eval frame budgets: every utterance alone, several per pack, the
+# default, and a whole split in one pack
+EVAL_BUDGETS = (1, 100, gm.EVAL_FRAMES, 10**9)
+
+
+def under_eval_budgets(monkeypatch, run):
+    """run() once under each of EVAL_BUDGETS; returns the results in order."""
+    results = []
+    for budget in EVAL_BUDGETS:
+        monkeypatch.setattr(gm, "EVAL_FRAMES", budget)
+        results.append(run())
+    return results

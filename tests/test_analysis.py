@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradflip import analysis as an, data as gd, model as gm
 from gradflip.analysis import RepDump, edit_distance
@@ -11,7 +12,7 @@ from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, SpeakerBranch, build_model
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore
-from helpers import count_tape_nodes
+from helpers import count_tape_nodes, under_eval_budgets
 
 
 def small_model(vocab=5, speakers=4, seed=60):
@@ -89,6 +90,48 @@ def test_edit_distance_brute_force_small():
         a = tuple(rng.integers(0, 3, size=rng.integers(0, 5)).tolist())
         b = tuple(rng.integers(0, 3, size=rng.integers(0, 5)).tolist())
         assert edit_distance(a, b) == slow(a, b)
+
+
+def ref_edit_distance(a, b) -> int:
+    """The classic row-by-row Levenshtein DP, one min() per cell."""
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def sequences(tokens, max_len):
+    """Lists of `tokens` whose length is drawn uniformly from 0..max_len, so
+    that lengths past one 64-bit word are as common as short ones."""
+    return st.integers(0, max_len).flatmap(lambda n: st.lists(tokens, min_size=n, max_size=n))
+
+
+LETTERS = st.integers(0, 4)
+WORDS = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=sequences(LETTERS, 150), b=sequences(LETTERS, 150))
+def test_edit_distance_matches_row_dp_on_letters(a, b):
+    assert edit_distance(a, b) == edit_distance(b, a) == ref_edit_distance(a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=sequences(WORDS, 40), b=sequences(WORDS, 40))
+def test_edit_distance_matches_row_dp_on_words(a, b):
+    assert edit_distance(a, b) == edit_distance(b, a) == ref_edit_distance(a, b)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(a=sequences(LETTERS, 150) | sequences(WORDS, 40))
+def test_edit_distance_to_empty_is_length(a):
+    assert edit_distance(a, []) == edit_distance([], a) == ref_edit_distance(a, []) == len(a)
 
 
 # --- LER / WER ---
@@ -279,6 +322,31 @@ def test_probe_never_mutates_checkpoint(tmp_path):
     an.train_probe(dump, epochs=3, seed=6)
     gm.save_checkpoint(m, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
+# --- eval frame budget ---
+
+
+def test_eval_outputs_do_not_depend_on_the_frame_budget(monkeypatch):
+    _, dev, _ = gd.split(small_dataset(seed=75, utts=10), 0.4, 0.4, seed=3)
+    m = oracle_model_for(dev, seed=65)
+    results = under_eval_budgets(monkeypatch, lambda: an.evaluate(m, dev))
+    assert all(r == results[0] for r in results)
+
+
+def test_probe_outputs_do_not_depend_on_the_frame_budget(monkeypatch):
+    ds = small_dataset(seed=78, utts=10)
+    m = oracle_model_for(ds, seed=68)
+
+    def run():
+        dump = an.dump_reps(m, ds, 2)
+        return dump.items, an.train_probe(dump, epochs=1, seed=5)
+
+    (first, accuracy), *rest = under_eval_budgets(monkeypatch, run)
+    for items, acc in rest:
+        assert acc == accuracy
+        for (i1, r1, s1), (i2, r2, s2) in zip(items, first, strict=True):
+            assert i1 == i2 and s1 == s2 and np.array_equal(r1, r2)
 
 
 # --- figure-2 report ---

@@ -275,3 +275,17 @@ def test_batched_viterbi_matches_per_utterance_with_ties():
             assert np.array_equal(path, asg.viterbi_decode(block, trs))
     paths = asg.viterbi(np.zeros((packing.rows, 3)), np.zeros((3, 3)), packing)
     assert all(not p.any() for p in paths)
+
+
+def test_split_sized_pack_matches_per_utterance_with_ties():
+    # an eval pack holds a whole split: many short utterances padded with
+    # -inf to one long one
+    rng = np.random.default_rng(14)
+    lengths = rng.integers(1, 6, size=80)
+    lengths[[0, 41]] = [60, 58]
+    packing = Packing(lengths.tolist())
+    for _ in range(5):
+        em = rng.integers(0, 2, size=(packing.rows, 4)).astype(float)
+        trs = rng.integers(0, 2, size=(4, 4)).astype(float)
+        for path, block in zip(asg.viterbi(em, trs, packing), packing.split(em), strict=True):
+            assert np.array_equal(path, asg.viterbi_decode(block, trs))

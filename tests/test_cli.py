@@ -547,6 +547,21 @@ def test_probe_negative_epochs_exit_2(eval_inputs, capsys):
     assert not (root / "probe-negative" / "probe.csv").exists()
 
 
+def test_eval_names_the_metric_with_nothing_to_count(eval_inputs, capsys):
+    # every utterance is transcribed, but only as the separator: LER has
+    # tokens to count, WER has no words
+    root = eval_inputs[0]
+    dev = gd.load_dataset(root / "data" / "synth.dev")
+    utts = [gd.Utterance(u.id, u.speaker, (dev.separator,), u.features) for u in dev.utterances[:4]]
+    (root / "sep-only").mkdir()
+    gd.save_dataset(gd.Dataset(utts, dev.vocab, dev.speakers), root / "sep-only" / "synth.dev")
+    argv = ["eval", "--checkpoint", f"{root}/model.ckpt", "--data", f"{root}/sep-only/synth.dev",
+            "--out", f"{root}/ev-sep-only"]
+    assert main(argv) == 2
+    assert "error: wer: the references hold no words" in capsys.readouterr().err
+    assert not (root / "ev-sep-only" / "eval.csv").exists()
+
+
 def overflowing_checkpoint(root):
     """A valid checkpoint whose forward pass overflows: finite but huge gains."""
     doc = json.loads((root / "model.ckpt").read_text())

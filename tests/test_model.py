@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradflip import asg, model as gm, tensor as tz
 from gradflip.layers import PoolingConfig
@@ -338,6 +339,29 @@ def test_packed_eval_equals_per_utterance_bit_for_bit():
     for layer in range(m.cfg.n_layers + 1):
         for rep, x in zip(gm.represent(m, xs, layer), xs):
             assert np.array_equal(rep, gm.extract_representation(m, x, layer))
+
+
+def test_chunks_pack_by_frames_in_order(monkeypatch):
+    monkeypatch.setattr(gm, "EVAL_FRAMES", 10)
+    frames = [3, 4, 2, 12, 1, 9, 10, 5, 5]
+    # 12 is over the budget and gets a run of its own
+    assert gm.chunks(list("abcdefghi"), frames) == [["a", "b", "c"], ["d"], ["e", "f"], ["g"], ["h", "i"]]
+    assert gm.chunks([], []) == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(frames=st.lists(st.integers(1, 30), max_size=40), budget=st.integers(1, 60))
+def test_chunks_invariants(frames, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gm, "EVAL_FRAMES", budget)
+        runs = gm.chunks(list(range(len(frames))), frames)
+    assert [i for run in runs for i in run] == list(range(len(frames)))
+    totals = [sum(frames[i] for i in run) for run in runs]
+    for run, total in zip(runs, totals):
+        assert run and (total <= budget or len(run) == 1)
+    # greedy: no run could have taken the next run's first item
+    for total, nxt in zip(totals, runs[1:]):
+        assert total + frames[nxt[0]] > budget
 
 
 def test_packed_train_forward_draws_each_utterances_own_masks():

@@ -9,7 +9,7 @@ from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
 from gradflip.trainer import LambdaSchedule, TrainConfig, lambda_at
-from helpers import count_tape_nodes
+from helpers import count_tape_nodes, under_eval_budgets
 
 
 def tiny_data(seed=101, semi_speakers=0, utts=6):
@@ -417,6 +417,20 @@ def test_metrics_csv_deterministic_across_runs(tmp_path):
     # identical up to the wall-clock column, which is environmental
     assert strip(r1.metrics_path) == strip(r2.metrics_path)
     assert (tmp_path / "a/final.ckpt").read_bytes() == (tmp_path / "b/final.ckpt").read_bytes()
+
+
+def test_metrics_do_not_depend_on_the_eval_frame_budget(monkeypatch):
+    train_ds, _ = tiny_data(utts=8)
+    _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=11)
+    cfg = train_cfg("al", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
+                    lr_main=0.05, lr_speaker=0.02, seed=12)
+
+    def run():
+        rows = tr.train(tiny_model(seed=49), train_ds, dev_ds, cfg).rows
+        return [dataclasses.replace(r, wall_clock_sec=0.0) for r in rows]
+
+    results = under_eval_budgets(monkeypatch, run)
+    assert all(r == results[0] for r in results)
 
 
 def test_lambda_schedule_spans_phase_c_only():
