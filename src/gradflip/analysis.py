@@ -5,18 +5,20 @@ LogSumExp pooling, linear head) trained for a few epochs on frozen
 representations dumped from a checkpoint. Its held-out accuracy
 measures how much speaker identity the representation exposes. LER and
 WER come from Viterbi decoding followed by Levenshtein distance at letter
-and separator-delimited word granularity.
+and separator-delimited word granularity; the speaker accuracy that
+training logs on dev comes from the same eval forward pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from gradflip import asg, model as gm, tensor as tz
-from gradflip.data import Dataset
+from gradflip.data import Dataset, stratified_parts
 from gradflip.layers import Packing, PoolingConfig
 from gradflip.model import ModelGraph, SpeakerBranch
 from gradflip.rng import RngStream, stream_seed
@@ -70,12 +72,12 @@ def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
     )
 
 
-def _probe_logits(probe: SpeakerBranch, reps: list[np.ndarray], mode: str, rng: RngStream | None):
-    """B x S logits of a packed batch; in train mode every utterance's
-    dropout mask comes from `rng`, in utterance order."""
+def _probe_logits(probe: SpeakerBranch, reps: list[np.ndarray], rng: RngStream | None):
+    """B x S logits of a packed batch; with rng (train mode) every
+    utterance's dropout mask comes from it, in utterance order."""
     packing = Packing([len(r) for r in reps])
     streams = None if rng is None else [rng] * len(reps)
-    return probe.forward(tz.Tensor(np.concatenate(reps)), mode, streams, packing)
+    return probe.forward(tz.Tensor(np.concatenate(reps)), streams, packing)
 
 
 # probe training: SGD rate of every probe parameter, utterances per batch,
@@ -85,22 +87,13 @@ PROBE_BATCH = 8
 PROBE_EVAL_FRAC = 0.2
 
 
-def _stratified_split(items, rng: RngStream):
-    by_speaker: dict[int, list[int]] = {}
-    for i, (_, _, speaker) in enumerate(items):
-        by_speaker.setdefault(speaker, []).append(i)
-    train_idx, eval_idx = [], []
-    for speaker in sorted(by_speaker):
-        idxs = by_speaker[speaker]
-        perm = rng.permutation(len(idxs))
-        n_eval = max(1, int(PROBE_EVAL_FRAC * len(idxs)))
-        shuffled = [idxs[p] for p in perm]
-        eval_idx += shuffled[:n_eval]
-        train_idx += shuffled[n_eval:]
-    return sorted(train_idx), sorted(eval_idx)
+def _probe_cut(speaker: int, n: int) -> tuple[int, int]:
+    """A speaker's (held-out, training) utterance counts in a probe split."""
+    n_eval = max(1, int(PROBE_EVAL_FRAC * n))
+    return n_eval, n - n_eval
 
 
-def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
+def train_probe(dump: RepDump, epochs: int, seed: int) -> float:
     """Train a probe on 80% of the dump, return held-out top-1 accuracy.
 
     The probed checkpoint is never touched; representations enter as
@@ -108,11 +101,11 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
     """
     if epochs < 0:
         raise ValueError(f"probe epochs must be >= 0, got {epochs}")
-    speakers = {s for _, _, s in dump.items}
-    if len(speakers) < 2:
+    speakers = [s for _, _, s in dump.items]
+    if len(set(speakers)) < 2:
         raise ValueError("probe needs representations from at least 2 speakers")
     rng = RngStream(seed, "probe")
-    train_idx, eval_idx = _stratified_split(dump.items, rng.child("split"))
+    eval_idx, train_idx = stratified_parts(speakers, rng.child("split"), _probe_cut)
     if not train_idx:
         raise ValueError("probe training split is empty")
     init = rng.child("init")
@@ -127,7 +120,7 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
         order = rng.child(f"shuffle{epoch}").permutation(len(train_idx))
         for start in range(0, len(order), PROBE_BATCH):
             chunk = [dump.items[train_idx[i]] for i in order[start : start + PROBE_BATCH]]
-            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], "train", dropout_rng)
+            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], dropout_rng)
             nlls = gm.speaker_nlls(logits, [speaker for _, _, speaker in chunk])
             grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), params)
             tz.sgd_step(params, grads, lr_main=PROBE_LR, lr_speaker=PROBE_LR)
@@ -136,7 +129,7 @@ def train_probe(dump: RepDump, epochs: int = 10, seed: int = 0) -> float:
     with tz.no_grad():
         held_out = [dump.items[i] for i in eval_idx]
         for chunk in gm.chunks(held_out, [len(rep) for _, rep, _ in held_out]):
-            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], "eval", None)
+            logits = _probe_logits(probe, [rep for _, rep, _ in chunk], None)
             correct += int(np.sum(np.argmax(logits.data, axis=1) == [speaker for _, _, speaker in chunk]))
     return correct / len(eval_idx)
 
@@ -210,29 +203,37 @@ REFERENCE_UNITS = {"ler": "tokens", "wer": "words"}
 
 
 def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[str, EvalResult]:
-    """Error rates of the named metrics ("ler", "wer"), each utterance
-    Viterbi-decoded once and scored by every metric. Untranscribed
-    utterances are skipped and counted."""
+    """Scores of the named metrics over the transcribed utterances: error
+    rates ("ler", "wer"), each utterance Viterbi-decoded once and scored by
+    every one, and "speaker_acc", the share whose speaker logits peak at
+    its speaker, from the same forward pass. The speaker branch runs only
+    for "speaker_acc". Untranscribed utterances are skipped and counted."""
     m = _as_model(checkpoint)
-    errors = dict.fromkeys(metrics, 0)
+    rates = [name for name in metrics if name != "speaker_acc"]
+    speaker = "speaker_acc" in metrics
+    counts = dict.fromkeys(metrics, 0)  # errors of a rate, hits of the accuracy
     totals = dict.fromkeys(metrics, 0)
     transcribed = [u for u in dataset.utterances if u.transcript is not None]
     if not transcribed:
         raise ValueError("dataset has no transcribed utterances to score")
     for chunk in gm.chunks(transcribed, [len(u.features) for u in transcribed]):
         with tz.no_grad():
-            packing, em, _ = gm.forward(m, [u.features for u in chunk], speaker=False)
+            packing, em, logits = gm.forward(m, [u.features for u in chunk], speaker=speaker)
+        if speaker:
+            hits = np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]
+            counts["speaker_acc"] += int(np.sum(hits))
+            totals["speaker_acc"] += len(chunk)
         for u, path in zip(chunk, asg.viterbi(em.data, m.transitions.data, packing)):
             hyp = asg.collapse(path)
-            for name in metrics:
+            for name in rates:
                 err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
-                errors[name] += err
+                counts[name] += err
                 totals[name] += n
-    for name in metrics:
+    for name in rates:
         if totals[name] == 0:
             raise ValueError(f"{name}: the references hold no {REFERENCE_UNITS[name]}")
     scored, skipped = len(transcribed), len(dataset.utterances) - len(transcribed)
-    return {name: EvalResult(errors[name] / totals[name], scored, skipped) for name in metrics}
+    return {name: EvalResult(counts[name] / totals[name], scored, skipped) for name in metrics}
 
 
 def evaluate_ler(checkpoint, dataset: Dataset) -> EvalResult:
@@ -263,8 +264,8 @@ def figure2_report(
     checkpoints: dict[str, object | None],
     layers: dict[str, int | None],
     dataset: Dataset,
-    probe_epochs: int = 10,
-    seed: int = 0,
+    probe_epochs: int,
+    seed: int,
 ) -> list[ProbeCell]:
     """Probe accuracy grid: one row per (variant, layer) plus a chance row.
 
@@ -272,6 +273,8 @@ def figure2_report(
     failures.
     """
     chance = 1.0 / len(dataset.speakers)
+    # every probe holds out the same number of each speaker's utterances
+    n_eval = sum(_probe_cut(s, n)[0] for s, n in Counter(u.speaker for u in dataset.utterances).items())
     cells: list[ProbeCell] = []
     for variant, ckpt in checkpoints.items():
         for label, layer in layers.items():
@@ -279,9 +282,7 @@ def figure2_report(
             if ckpt is None or layer is None:
                 cells.append(ProbeCell(variant, label, None, chance, 0, cell_seed))
                 continue
-            dump = dump_reps(ckpt, dataset, layer)
-            n_eval = len(_stratified_split(dump.items, RngStream(cell_seed, "probe/split"))[1])
-            acc = train_probe(dump, epochs=probe_epochs, seed=cell_seed)
+            acc = train_probe(dump_reps(ckpt, dataset, layer), epochs=probe_epochs, seed=cell_seed)
             cells.append(ProbeCell(variant, label, acc, chance, n_eval, cell_seed))
     cells.append(ProbeCell("chance", "-", chance, chance, 0, seed))
     return cells

@@ -114,11 +114,21 @@ def cmd_train(args, extras) -> int:
     paths = _dataset_paths(data_dir, cfg["data.name"])
     train_ds = gd.load_dataset(paths["train"])
     dev_ds = gd.load_dataset(paths["dev"])
+    untranscribed = [u.id for u in dev_ds.utterances if u.transcript is None]
+    if untranscribed:
+        # dev LER picks best.ckpt, so every dev utterance must be scored
+        raise ValueError(f"{paths['dev']}: utterance {untranscribed[0]} has no transcript")
     semi_ds = None
     if mode == "semi":
         if not paths["semi"].exists():
             raise ValueError(f"semi mode needs {paths['semi']}")
         semi_ds = gd.load_dataset(paths["semi"])
+    for part, ds in (("dev", dev_ds), ("semi", semi_ds)):
+        if ds is not None and (ds.vocab, ds.dim) != (train_ds.vocab, train_ds.dim):
+            raise ValueError(
+                f"{paths[part]}: vocab {ds.vocab} and dim {ds.dim} do not match "
+                f"{paths['train']}'s {train_ds.vocab} and {train_ds.dim}"
+            )
 
     cell = mode if mode == "baseline" else f"{mode}-{cfg['train.fork']}"
     out_dir = Path(args.out) / cell
@@ -147,6 +157,8 @@ def _parse_checkpoint_list(spec: str) -> dict[str, Path]:
         if "=" not in item:
             raise ValueError(f"--checkpoints entries must be name=path, got {item!r}")
         name, _, path = item.partition("=")
+        if name in out:
+            raise ValueError(f"--checkpoints names {name!r} twice")
         out[name] = Path(path)
     if not out:
         raise ValueError("--checkpoints is empty")
@@ -173,15 +185,9 @@ def cmd_probe(args, extras) -> int:
                 layer_map[label] = layer
             except ValueError:
                 layer_map[label] = None  # invalid for this model: absent cell
-        cells += [
-            c
-            for c in analysis.figure2_report(
-                {name: m}, layer_map, dataset, probe_epochs=cfg["probe.epochs"], seed=cfg["seed"]
-            )
-            if c.variant != "chance"
-        ]
-    chance = 1.0 / len(dataset.speakers)
-    cells.append(analysis.ProbeCell("chance", "-", chance, chance, 0, cfg["seed"]))
+        report = analysis.figure2_report({name: m}, layer_map, dataset, cfg["probe.epochs"], cfg["seed"])
+        cells += report[:-1]
+    cells.append(report[-1])  # each report ends with the same chance row; the file keeps one
     out_path = out_dir / "probe.csv"
     analysis.write_probe_csv(cells, out_path)
     print(f"wrote {out_path}")
@@ -198,6 +204,11 @@ def cmd_eval(args, extras) -> int:
     for path_str in args.data.split(","):
         path = Path(path_str)
         ds = gd.load_dataset(path)
+        if (len(ds.vocab), ds.dim) != (m.cfg.vocab_size, m.cfg.in_dim):
+            raise ValueError(
+                f"{path}: vocabulary size {len(ds.vocab)} and dim {ds.dim} do not match "
+                f"checkpoint {ckpt}'s {m.cfg.vocab_size} and {m.cfg.in_dim}"
+            )
         split_name = path.suffix.lstrip(".") or path.name
         results = analysis.evaluate(m, ds)
         rows += [(split_name, metric, r.value, r.n_scored) for metric, r in results.items()]

@@ -32,7 +32,7 @@ from gradflip.rng import RngStream
 
 __all__ = [
     "GenConfig", "Utterance", "Dataset",
-    "feature_bases", "generate", "split", "partition_semi",
+    "feature_bases", "generate", "stratified_parts", "split", "partition_semi",
     "save_dataset", "load_dataset", "datasets_equal", "check_keys",
 ]
 
@@ -205,32 +205,36 @@ def generate(cfg: GenConfig) -> Dataset:
     return Dataset(utterances, vocab, speakers)
 
 
+def stratified_parts(speakers, rng: RngStream, sizes) -> list[list[int]]:
+    """Speaker-stratified disjoint parts of range(len(speakers)). In sorted
+    speaker order, a speaker's n indices are shuffled by one
+    rng.permutation and cut into consecutive runs of sizes(speaker, n)
+    items, which sum to n; run k joins part k. Each part comes back sorted.
+    """
+    parts: list[list[int]] = []
+    for speaker in sorted(set(speakers)):
+        idxs = [i for i, s in enumerate(speakers) if s == speaker]
+        perm = rng.permutation(len(idxs))
+        cuts = sizes(speaker, len(idxs))
+        parts += [[] for _ in range(len(cuts) - len(parts))]
+        for part, run in zip(parts, np.split(perm, np.cumsum(cuts)[:-1])):
+            part += [idxs[p] for p in run]
+    return [sorted(part) for part in parts]
+
+
 def split(ds: Dataset, train_frac: float, dev_frac: float, seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """Speaker-stratified disjoint train/dev/test split."""
     if not (0 < train_frac < 1 and 0 < dev_frac < 1 and train_frac + dev_frac < 1):
         raise ValueError("fractions must be in (0,1) and sum below 1")
-    rng = RngStream(seed, "split")
-    picks: list[list[int]] = [[], [], []]
-    groups: dict[int, list[int]] = {}
-    for i, u in enumerate(ds.utterances):
-        groups.setdefault(u.speaker, []).append(i)
-    for speaker in sorted(groups):
-        idxs = groups[speaker]
-        perm = rng.permutation(len(idxs))
-        n_train = int(train_frac * len(idxs))
-        n_dev = int(dev_frac * len(idxs))
-        n_test = len(idxs) - n_train - n_dev
-        if min(n_train, n_dev, n_test) < 1:
+
+    def sizes(speaker: int, n: int) -> tuple[int, int, int]:
+        n_train, n_dev = int(train_frac * n), int(dev_frac * n)
+        if min(n_train, n_dev, n - n_train - n_dev) < 1:
             raise ValueError(f"split leaves speaker {speaker} with an empty part")
-        shuffled = [idxs[p] for p in perm]
-        picks[0] += shuffled[:n_train]
-        picks[1] += shuffled[n_train : n_train + n_dev]
-        picks[2] += shuffled[n_train + n_dev :]
-    out = []
-    for part in picks:
-        utts = [ds.utterances[i] for i in sorted(part)]
-        out.append(Dataset(utts, list(ds.vocab), list(ds.speakers)))
-    return tuple(out)
+        return n_train, n_dev, n - n_train - n_dev
+
+    parts = stratified_parts([u.speaker for u in ds.utterances], RngStream(seed, "split"), sizes)
+    return tuple(Dataset([ds.utterances[i] for i in p], list(ds.vocab), list(ds.speakers)) for p in parts)
 
 
 def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
@@ -239,25 +243,19 @@ def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
     Each part gets its own dense label space and speaker table; the trainer
     re-unions them by offsetting semi labels.
     """
+
+    def relabeled(utts: list[Utterance]) -> Dataset:
+        speakers = sorted({u.speaker for u in utts})
+        label = {s: i for i, s in enumerate(speakers)}
+        return Dataset(
+            [Utterance(u.id, label[u.speaker], u.transcript, u.features) for u in utts],
+            list(ds.vocab),
+            [ds.speakers[s] for s in speakers],
+        )
+
     main = [u for u in ds.utterances if u.transcript is not None]
     semi = [u for u in ds.utterances if u.transcript is None]
-    main_speakers = sorted({u.speaker for u in main})
-    main_map = {s: i for i, s in enumerate(main_speakers)}
-    main_ds = Dataset(
-        [Utterance(u.id, main_map[u.speaker], u.transcript, u.features) for u in main],
-        list(ds.vocab),
-        [ds.speakers[s] for s in main_speakers],
-    )
-    if not semi:
-        return main_ds, None
-    semi_speakers = sorted({u.speaker for u in semi})
-    semi_map = {s: i for i, s in enumerate(semi_speakers)}
-    semi_ds = Dataset(
-        [Utterance(u.id, semi_map[u.speaker], None, u.features) for u in semi],
-        list(ds.vocab),
-        [ds.speakers[s] for s in semi_speakers],
-    )
-    return main_ds, semi_ds
+    return relabeled(main), relabeled(semi) if semi else None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 POOL_KINDS = ("sum", "max", "logsumexp")
-MODES = ("train", "eval")
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,6 @@ class PoolingConfig:
             raise ValueError(f"pooling kind must be one of {POOL_KINDS}, got {self.kind!r}")
         if self.tau <= 0:
             raise ValueError("pooling tau must be positive")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 class Packing:
@@ -192,22 +186,18 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return tz._node(out, "weight_norm", (v, g), bw)
 
 
-def dropout(
-    x: Tensor, rate: float, mode: str, rngs=None, packing: Packing | None = None
-) -> Tensor:
-    """Inverted dropout: surviving units scaled by 1/(1-rate). Identity in eval mode.
+def dropout(x: Tensor, rate: float, rngs=None, packing: Packing | None = None) -> Tensor:
+    """Inverted dropout: surviving units scaled by 1/(1-rate).
 
-    rngs holds one RngStream per utterance of the batch (a lone input is
-    one utterance), each drawing that utterance's T_b x C mask; a stream
-    may repeat.
+    rngs selects train mode: one RngStream per utterance of the batch (a
+    lone input is one utterance), each drawing that utterance's T_b x C
+    mask; a stream may repeat. Without streams (eval mode) this is the
+    identity.
     """
-    _check_mode(mode)
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode == "eval" or rate == 0.0:
+    if rngs is None or rate == 0.0:
         return x
-    if rngs is None:
-        raise ValueError("dropout in train mode needs one RngStream per utterance")
     lengths = (x.shape[0],) if packing is None else packing.lengths
     draws = np.concatenate([r.uniform(size=(n,) + x.shape[1:]) for r, n in zip(rngs, lengths)])
     return tz.mul(x, Tensor((draws >= rate) / (1.0 - rate)))
@@ -317,11 +307,12 @@ class GatedConv:
         self.g = store.add(f"{prefix}.g", Tensor(norms), group)
         self.b = store.add(f"{prefix}.b", Tensor(np.zeros(2 * out_channels)), group)
 
-    def forward(self, x: Tensor, mode: str = "eval", rngs=None, packing: Packing | None = None) -> Tensor:
-        """rngs as for `dropout`: one stream per utterance."""
+    def forward(self, x: Tensor, rngs=None, packing: Packing | None = None) -> Tensor:
+        """rngs as for `dropout`: one stream per utterance in train mode,
+        None in eval mode."""
         w = weight_norm(self.v, self.g)
         h = glu(conv1d(x, w, self.b, self.kernel_width, packing))
-        return dropout(h, self.dropout_rate, mode, rngs, packing)
+        return dropout(h, self.dropout_rate, rngs, packing)
 
 
 class Linear:

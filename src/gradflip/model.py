@@ -98,9 +98,9 @@ class SpeakerBranch:
         self.out = Linear(params, f"{prefix}.out", "speaker", channels, n_speakers, out_rng)
         self.pooling = pooling
 
-    def forward(self, h: Tensor, mode: str, rngs, packing: Packing) -> Tensor:
+    def forward(self, h: Tensor, rngs, packing: Packing) -> Tensor:
         """B x S logits of a packed batch; rngs as for `layers.dropout`."""
-        return self.out.forward(pool(self.conv.forward(h, mode, rngs, packing), self.pooling, packing))
+        return self.out.forward(pool(self.conv.forward(h, rngs, packing), self.pooling, packing))
 
 
 class ModelGraph:
@@ -161,60 +161,66 @@ def _pack(m: ModelGraph, xs) -> tuple[Tensor, Packing]:
     return x, Packing([t.shape[0] for t in ts])
 
 
-def _layer_rngs(rngs, mode: str, label: str):
+def _layer_rngs(rngs, label: str):
     # per-layer streams keep a layer's dropout mask independent of whether
     # the speaker branch is evaluated in the same pass
-    if rngs is None or mode != "train":
-        return None
-    return [r.child(label) for r in rngs]
+    return None if rngs is None else [r.child(label) for r in rngs]
 
 
-def _run_stack(m: ModelGraph, x: Tensor, upto: int, mode: str, rngs, start: int = 0, packing=None) -> Tensor:
+def _run_stack(m: ModelGraph, x: Tensor, upto: int, rngs, start: int = 0, packing=None) -> Tensor:
     h = x
     for i in range(start, upto):
-        h = m.stack[i].forward(h, mode, _layer_rngs(rngs, mode, f"stack{i + 1}"), packing)
+        h = m.stack[i].forward(h, _layer_rngs(rngs, f"stack{i + 1}"), packing)
     return h
 
 
 def forward(
-    m: ModelGraph, xs, factor: float = 0.0, mode: str = "eval", rngs=None,
+    m: ModelGraph, xs, factor: float = 0.0, rngs=None,
     acoustic: bool = True, speaker: bool = True, encoder_grad: bool = True,
 ):
     """The model's one forward pass: the inputs packed into one batch, then
     (packing, emissions, speaker logits), emissions (sum T_b) x K and logits
     B x S, each None unless asked for.
 
-    rngs holds one stream per utterance (train mode). The encoder below the
-    fork runs once, so gradients from both heads accumulate on the same
-    nodes. With encoder_grad False the encoder and head record no tape.
+    rngs selects train mode: one dropout stream per utterance; None is eval
+    mode. The encoder below the fork runs once, so gradients from both heads
+    accumulate on the same nodes. With encoder_grad False the encoder and
+    head record no tape.
     """
     x, packing = _pack(m, xs)
     with tz.no_grad(not encoder_grad):
-        r_fork = _run_stack(m, x, m.cfg.fork_layer, mode, rngs, packing=packing)
+        r_fork = _run_stack(m, x, m.cfg.fork_layer, rngs, packing=packing)
         emissions = None
         if acoustic:
-            h = _run_stack(m, r_fork, m.cfg.n_layers, mode, rngs, m.cfg.fork_layer, packing)
+            h = _run_stack(m, r_fork, m.cfg.n_layers, rngs, m.cfg.fork_layer, packing)
             emissions = m.out.forward(h)
     logits = None
     if speaker:
-        logits = m.branch.forward(grad_scale(r_fork, factor), mode, _layer_rngs(rngs, mode, "spk"), packing)
+        logits = m.branch.forward(grad_scale(r_fork, factor), _layer_rngs(rngs, "spk"), packing)
     return packing, emissions, logits
 
 
-def _streams(rng: RngStream | None):
-    return None if rng is None else [rng]
+def _streams(mode: str, rng: RngStream | None):
+    """The dropout streams of a lone utterance: [rng] in train mode, None in eval."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval":
+        return None
+    if rng is None:
+        raise ValueError("train mode needs an RngStream for dropout")
+    return [rng]
 
 
 def forward_acoustic(m: ModelGraph, x, mode: str = "eval", rng: RngStream | None = None) -> Tensor:
     """Per-frame vocabulary scores (T x K); the speaker branch stays untouched."""
-    return forward(m, [x], 0.0, mode, _streams(rng), speaker=False)[1]
+    return forward(m, [x], 0.0, _streams(mode, rng), speaker=False)[1]
 
 
 def forward_speaker(
     m: ModelGraph, x, factor: float, mode: str = "eval", rng: RngStream | None = None
 ) -> Tensor:
     """Speaker logits (S,). Gradients entering the encoder are scaled by factor."""
-    logits = forward(m, [x], factor, mode, _streams(rng), acoustic=False)[2]
+    logits = forward(m, [x], factor, _streams(mode, rng), acoustic=False)[2]
     return tz.reshape(logits, (m.cfg.n_speakers,))
 
 
@@ -226,7 +232,7 @@ def forward_joint(
     The encoder below the fork is evaluated once, so gradients from both
     heads accumulate on the same nodes.
     """
-    _, emissions, logits = forward(m, [x], factor, mode, _streams(rng))
+    _, emissions, logits = forward(m, [x], factor, _streams(mode, rng))
     return emissions, tz.reshape(logits, (m.cfg.n_speakers,))
 
 
@@ -257,7 +263,7 @@ def represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
         raise ValueError(f"layer {layer} outside [0, {m.cfg.n_layers}]")
     x, packing = _pack(m, xs)
     with tz.no_grad():
-        h = _run_stack(m, x, layer, "eval", None, packing=packing)
+        h = _run_stack(m, x, layer, None, packing=packing)
     return [a.copy() for a in packing.split(h.data)]
 
 

@@ -140,9 +140,10 @@ def _batch_losses(
     """The batch's mean acoustic loss and mean speaker loss as tape scalars,
     each None when the batch does not compute it (the speaker loss in
     baseline, the acoustic loss on speaker-only batches). The batch runs
-    packed, as one forward pass. With main_grad False (nothing in `main`
-    is updated) the encoder, output head and ASG record no tape; the
-    acoustic loss is then only logged."""
+    packed, as one train-mode forward pass whose dropout masks come from
+    children of rng, so rng may not be None. With main_grad False (nothing
+    in `main` is updated) the encoder, output head and ASG record no tape;
+    the acoustic loss is then only logged."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not batch:
@@ -152,12 +153,14 @@ def _batch_losses(
         raise ValueError("batch mixes transcribed and untranscribed utterances")
     if speaker_only and mode != "semi":
         raise ValueError(f"speaker-only batch is only valid in semi mode, not {mode!r}")
+    if rng is None:
+        raise ValueError("a training step needs an RngStream for dropout")
 
     # one derived stream per utterance position: a layer's dropout mask
     # depends only on (stream, position, layer), never on the mode
-    rngs = None if rng is None else [rng.child(f"u{i}") for i in range(len(batch))]
+    rngs = [rng.child(f"u{i}") for i in range(len(batch))]
     packing, em, logits = gm.forward(
-        m, [u.features for u in batch], _junction_factor(mode, lam), "train", rngs,
+        m, [u.features for u in batch], _junction_factor(mode, lam), rngs,
         acoustic=not speaker_only, speaker=mode != "baseline", encoder_grad=main_grad,
     )
     scale = 1.0 / len(batch)
@@ -242,12 +245,10 @@ def make_semi_batches(
     t_batches = [t_order[i : i + batch_size] for i in range(0, len(t_order), batch_size)]
     s_batches = [s_order[i : i + batch_size] for i in range(0, len(s_order), batch_size)]
     out = []
-    si = 0
     for bi, b in enumerate(t_batches, start=1):
-        out.append(("transcribed", b))
+        out.append(b)
         if bi % ratio == 0:
-            out.append(("speaker_only", s_batches[si % len(s_batches)]))
-            si += 1
+            out.append(s_batches[(bi // ratio - 1) % len(s_batches)])
     return out
 
 
@@ -261,13 +262,8 @@ class TrainResult:
 
 
 def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
-    ler = analysis.evaluate_ler(m, dev).value
-    correct = 0
-    for chunk in gm.chunks(dev.utterances, [len(u.features) for u in dev.utterances]):
-        with tz.no_grad():
-            _, _, logits = gm.forward(m, [u.features for u in chunk], acoustic=False)
-        correct += int(np.sum(np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]))
-    return ler, correct / len(dev.utterances)
+    scores = analysis.evaluate(m, dev, ("ler", "speaker_acc"))
+    return scores["ler"].value, scores["speaker_acc"].value
 
 
 def train(
@@ -325,13 +321,10 @@ def train(
         else:
             order = shuffle_rng.child(f"epoch{epoch}").permutation(len(train_ds.utterances))
             utts = [train_ds.utterances[i] for i in order]
-            batches = [
-                ("transcribed", utts[i : i + cfg.batch_size])
-                for i in range(0, len(utts), cfg.batch_size)
-            ]
+            batches = [utts[i : i + cfg.batch_size] for i in range(0, len(utts), cfg.batch_size)]
 
         ac_losses, sp_losses = [], []
-        for bi, (_, batch) in enumerate(batches):
+        for bi, batch in enumerate(batches):
             try:
                 ac, sp = step(
                     m, batch, cfg.mode, lam, cfg.lr_main, cfg.lr_speaker,

@@ -312,18 +312,18 @@ def test_criterion_7_probe_shape(toy_data, toy_baseline, toy_mt, toy_al):
     }
     base_cells = {
         c.layer_label: c.accuracy
-        for c in an.figure2_report({"baseline": m_base}, layers_map, train_ds, seed=cfg["seed"])
+        for c in an.figure2_report({"baseline": m_base}, layers_map, train_ds, cfg["probe.epochs"], cfg["seed"])
         if c.variant == "baseline"
     }
     fork_map = {FIG2_FORK: layers_map[FIG2_FORK]}
     mt_acc = [
         c.accuracy
-        for c in an.figure2_report({"mt": m_mt}, fork_map, train_ds, seed=cfg["seed"])
+        for c in an.figure2_report({"mt": m_mt}, fork_map, train_ds, cfg["probe.epochs"], cfg["seed"])
         if c.variant == "mt"
     ][0]
     al_acc = [
         c.accuracy
-        for c in an.figure2_report({"al": m_al}, fork_map, train_ds, seed=cfg["seed"])
+        for c in an.figure2_report({"al": m_al}, fork_map, train_ds, cfg["probe.epochs"], cfg["seed"])
         if c.variant == "al"
     ][0]
 

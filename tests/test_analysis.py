@@ -374,6 +374,43 @@ def test_figure2_report_grid_and_chance_row(tmp_path):
     assert any(",," in l for l in lines[1:] if l.startswith("al,"))
 
 
+def test_figure2_n_eval_is_the_probes_held_out_count(monkeypatch):
+    full = small_dataset(seed=79, utts=10)
+    keep = {0: 10, 1: 9, 2: 5, 3: 2}  # utterances kept per speaker
+    ds = Dataset(
+        [u for u in full.utterances if int(u.id[-4:]) < keep[u.speaker]], full.vocab, full.speakers
+    )
+    m = oracle_model_for(ds, seed=69)
+    held_out = []
+
+    def spy(*args):
+        parts = gd.stratified_parts(*args)
+        held_out.append(len(parts[0]))
+        return parts
+
+    monkeypatch.setattr(an, "stratified_parts", spy)
+    cells = an.figure2_report({"baseline": m}, {"in": 1, "out": 3}, ds, 0, 7)
+    assert [c.n_eval for c in cells if c.variant != "chance"] == held_out
+    assert held_out == [2 + 1 + 1 + 1] * 2  # max(1, int(0.2 * n)) of each speaker
+
+
+def test_evaluate_runs_the_speaker_branch_only_for_speaker_acc(monkeypatch):
+    ds = small_dataset(seed=80, utts=5)
+    m = oracle_model_for(ds, seed=70)
+    forward, asked = gm.forward, []
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("speaker", True))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(gm, "forward", spy)
+    both = an.evaluate(m, ds, ("ler", "speaker_acc"))
+    assert both["ler"] == an.evaluate_ler(m, ds)
+    assert an.evaluate(m, ds).keys() == {"ler", "wer"}
+    assert asked == [True, False, False]
+    assert both["speaker_acc"].n_scored == len(ds.utterances)
+
+
 def test_eval_csv_format(tmp_path):
     out = tmp_path / "eval.csv"
     an.write_eval_csv([("dev", "ler", 0.125, 60), ("dev", "wer", 0.5, 60)], out)
@@ -394,7 +431,7 @@ def test_probe_packed_batch_draws_one_dropout_stream_in_utterance_order():
         ParamStore(), "probe", 6, dump.branch_channels, dump.branch_kernel, dump.dropout_rate,
         dump.pooling, dump.n_speakers, (init.child("conv"), init.child("out")),
     )
-    packed = an._probe_logits(probe, reps, "train", RngStream(4, "dropout")).data
+    packed = an._probe_logits(probe, reps, RngStream(4, "dropout")).data
     stream = RngStream(4, "dropout")
-    alone = [an._probe_logits(probe, [rep], "train", stream).data[0] for rep in reps]
+    alone = [an._probe_logits(probe, [rep], stream).data[0] for rep in reps]
     assert np.array_equal(packed, np.stack(alone))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -404,6 +405,63 @@ def test_config_resolved_reproduces_run(mini, tmp_path):
     assert strip(a / "metrics.csv") == strip(b / "metrics.csv")
 
 
+# sha256 of every file the mini pipeline below writes, metrics.csv without
+# its wall_clock_sec column. Refactors that promise unchanged outputs must
+# keep every digest; a change that moves outputs on purpose re-pins them
+# and says why.
+PIPELINE_SHA256 = {
+    "data/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "data/manifest.json": "66589d15e6b1a875a70713675c62188b9c5c3d40b5a15100f04e38fad198ec57",
+    "data/synth.dev": "5f313053a56fcf65866c161eee14f9a65522ec162e3c181a4765a587c120a23f",
+    "data/synth.semi": "76013ec85ae22de02a18854d08da4b425d3f916281fb528d8ee53cac39bc3d8f",
+    "data/synth.test": "e3143ff9971ec240f252d3120e7786d31b2dbe7d43b453cda732c0b1b3e94cfa",
+    "data/synth.train": "54ae08c5ca9547c7093fd8255f04730571547c30b71b8e1cea5c2bce4bbd0139",
+    "eval/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "eval/eval.csv": "d79f40dff2b74c875991ea76df793de623da07f9c118bed1ed692e8d66439b61",
+    "probe/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "probe/probe.csv": "0c710ecc14b0951bece789dbbfc29176ebd2e6e8557463f4f67877ff3d9a0757",
+    "runs/al-mid/best.ckpt": "f82da0ccbf8418591b04255fea1f822bdc0f28ee5badbd191fba0244034a8cfb",
+    "runs/al-mid/config.resolved": "6e34f59747ed4d1b2bee6c3709a42d425b42fd346fb3f38a805e5ba8f745e3e4",
+    "runs/al-mid/final.ckpt": "f82da0ccbf8418591b04255fea1f822bdc0f28ee5badbd191fba0244034a8cfb",
+    "runs/al-mid/metrics.csv": "f90fbb65708d61b74244e8bf1e2af4e04042a2f6be1495c1b4feccd78efb57d3",
+    "runs/baseline/best.ckpt": "9b1531e82b6756566c43a4fac69642be27695968793c1f41bda1f8fabe00598b",
+    "runs/baseline/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "runs/baseline/final.ckpt": "9b1531e82b6756566c43a4fac69642be27695968793c1f41bda1f8fabe00598b",
+    "runs/baseline/metrics.csv": "8a43e32958a88dc46a56064b6548ac4b40e6c48a38c97adf1e1e1b598b747197",
+    "runs/mt-mid/best.ckpt": "36b360fa238fa734198c50c3b09e84d2b2dba112561517fdbd3f816a50e614bc",
+    "runs/mt-mid/config.resolved": "ec0bbe6fe2840652ed9e748f33de41953117e2d234a75990bca6bca83b0db6bf",
+    "runs/mt-mid/final.ckpt": "36b360fa238fa734198c50c3b09e84d2b2dba112561517fdbd3f816a50e614bc",
+    "runs/mt-mid/metrics.csv": "2927336211fbef39b019708dffcc40134bd15278822e21989dde83231f68f8e0",
+    "runs/semi-in/best.ckpt": "cb1cbf50ee00f3f70b99f5dbe2c8462cd8be455c15b6364b10e4ff614343684b",
+    "runs/semi-in/config.resolved": "4cdc035d2e7e11d4418b6e4313a2523e987c4066928e7d6aa2c495a2f712eb4d",
+    "runs/semi-in/final.ckpt": "cb1cbf50ee00f3f70b99f5dbe2c8462cd8be455c15b6364b10e4ff614343684b",
+    "runs/semi-in/metrics.csv": "e02b36883a4c47a9ba51e91e682cf6298947e8958013186c436496817a016e77",
+}
+
+
+def test_mini_pipeline_outputs_are_pinned(mini):
+    cfg_path, data_dir, tmp = mini
+    common = ["--config", str(cfg_path)]
+    for mode, fork in (("baseline", None), ("mt", "mid"), ("al", "mid"), ("semi", "in")):
+        argv = ["train", *common, "--data", str(data_dir), "--out", str(tmp / "runs"), "--mode", mode]
+        assert main(argv + (["--fork", fork] if fork else [])) == 0, mode
+    cells = ("baseline", "mt-mid", "al-mid", "semi-in")
+    ckpts = ",".join(f"{c}={tmp / 'runs' / c / 'final.ckpt'}" for c in cells)
+    assert main(probe_args(cfg_path, data_dir, tmp / "probe", ckpts, layers="0,in,mid,out")) == 0
+    assert main(
+        ["eval", *common, "--checkpoint", str(tmp / "runs" / "al-mid" / "best.ckpt"),
+         "--data", f"{data_dir}/synth.dev,{data_dir}/synth.test", "--out", str(tmp / "eval")]
+    ) == 0
+    digests = {}
+    for path in sorted(p for p in tmp.rglob("*") if p.is_file() and p != cfg_path):
+        data = path.read_bytes()
+        if path.name == "metrics.csv":
+            data = "".join(line.rsplit(",", 1)[0] + "\n" for line in data.decode().splitlines()).encode()
+        digests[path.relative_to(tmp).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert len(digests) == 26
+    assert digests == PIPELINE_SHA256
+
+
 # --- malformed readers ---
 
 
@@ -604,3 +662,76 @@ def test_unreadable_input_path_exit_2(eval_inputs, capsys, argv, bad):
     root = eval_inputs[0]
     assert main([arg.format(root=root) for arg in argv]) == 2
     assert bad.format(root=root) in capsys.readouterr().err
+
+
+# --- dataset files that do not fit the model or each other ---
+
+
+def gen_variant(cfg_path, out, override):
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out), "--force", override]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [("--gen.alphabet_size=3", "vocabulary size 4 and dim 6 do not match checkpoint {ckpt}'s 5 and 6"),
+     ("--gen.dim=7", "vocabulary size 5 and dim 7 do not match checkpoint {ckpt}'s 5 and 6")],
+    ids=["vocab", "dim"],
+)
+def test_eval_rejects_a_data_file_the_checkpoint_does_not_fit(eval_inputs, capsys, override, message):
+    # a 5-token checkpoint scored a 4-token file and wrote an LER
+    root = eval_inputs[0]
+    other = gen_variant(root / "cfg.txt", root / f"other{override[6:]}", override)
+    argv = ["eval", "--checkpoint", f"{root}/model.ckpt",
+            "--data", f"{root}/data/synth.dev,{other}/synth.dev", "--out", f"{root}/ev-{override[6:]}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {other}/synth.dev: " + message.format(ckpt=f"{root}/model.ckpt") in err
+    assert not (root / f"ev-{override[6:]}" / "eval.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "part,mode,override,message",
+    [("dev", "baseline", "--gen.alphabet_size=3", "vocab ['a', 'b', 'c', '|'] and dim 6 do not match {train}'s"
+      " ['a', 'b', 'c', 'd', '|'] and 6"),
+     ("dev", "baseline", "--gen.dim=7", "vocab ['a', 'b', 'c', 'd', '|'] and dim 7 do not match {train}'s"
+      " ['a', 'b', 'c', 'd', '|'] and 6"),
+     ("semi", "semi", "--gen.alphabet_size=3", "vocab ['a', 'b', 'c', '|'] and dim 6 do not match {train}'s"
+      " ['a', 'b', 'c', 'd', '|'] and 6"),
+     ("semi", "semi", "--gen.dim=7", "vocab ['a', 'b', 'c', 'd', '|'] and dim 7 do not match {train}'s"
+      " ['a', 'b', 'c', 'd', '|'] and 6")],
+    ids=["dev-vocab", "dev-dim", "semi-vocab", "semi-dim"],
+)
+def test_train_rejects_dev_or_semi_files_unlike_train(mini, capsys, part, mode, override, message):
+    cfg_path, data_dir, tmp = mini
+    other = gen_variant(cfg_path, tmp / "other", override)
+    (data_dir / f"synth.{part}").write_bytes((other / f"synth.{part}").read_bytes())
+    argv = ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp / "runs"),
+            "--mode", mode] + (["--fork", "in"] if mode == "semi" else [])
+    assert main(argv) == 2
+    message = message.format(train=data_dir / "synth.train")
+    assert f"error: {data_dir}/synth.{part}: {message}" in capsys.readouterr().err
+    assert not (tmp / "runs" / mode).exists() and not (tmp / "runs" / f"{mode}-in").exists()
+
+
+def test_train_rejects_an_untranscribed_dev_utterance(mini, capsys):
+    # dev LER picks best.ckpt, so an unscored dev utterance is an error
+    cfg_path, data_dir, tmp = mini
+    dev = data_dir / "synth.dev"
+    lines = dev.read_text().splitlines()
+    rec = json.loads(lines[2])
+    lines[2] = json.dumps({**rec, "transcript": None}, sort_keys=True)
+    dev.write_text("\n".join(lines) + "\n")
+    argv = ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp / "runs"),
+            "--mode", "baseline"]
+    assert main(argv) == 2
+    assert f"error: {dev}: utterance {rec['id']} has no transcript" in capsys.readouterr().err
+
+
+def test_probe_rejects_a_repeated_checkpoint_name(eval_inputs, capsys):
+    root = eval_inputs[0]
+    argv = ["probe", "--checkpoints", f"a={root}/model.ckpt,b={root}/model.ckpt,a={root}/model.ckpt",
+            "--layers", "1", "--data", f"{root}/data/synth.dev", "--out", f"{root}/probe-dup"]
+    assert main(argv) == 2
+    assert "error: --checkpoints names 'a' twice" in capsys.readouterr().err
+    assert not (root / "probe-dup" / "probe.csv").exists()

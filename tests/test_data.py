@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gradflip import config as cf, data as gd
+from gradflip import analysis as an, config as cf, data as gd
 from gradflip.data import Dataset, GenConfig, Utterance
+from gradflip.rng import RngStream
 
 
 def small_cfg(**kw):
@@ -160,6 +162,85 @@ def test_split_empty_part_errors():
     ds = gd.generate(small_cfg(utterances_per_speaker=3))
     with pytest.raises(ValueError, match="empty"):
         gd.split(ds, 0.9, 0.05, seed=8)
+
+
+# --- the speaker-stratified cutter ---
+# The two loops below are the cuts that data.split and the probe split each
+# made on their own before both moved onto data.stratified_parts; they stay
+# here as oracles of its draws and their order.
+
+
+def split_loop_oracle(speakers, train_frac, dev_frac, rng):
+    picks = [[], [], []]
+    groups = {}
+    for i, speaker in enumerate(speakers):
+        groups.setdefault(speaker, []).append(i)
+    for speaker in sorted(groups):
+        idxs = groups[speaker]
+        perm = rng.permutation(len(idxs))
+        n_train = int(train_frac * len(idxs))
+        n_dev = int(dev_frac * len(idxs))
+        n_test = len(idxs) - n_train - n_dev
+        if min(n_train, n_dev, n_test) < 1:
+            raise ValueError(f"split leaves speaker {speaker} with an empty part")
+        shuffled = [idxs[p] for p in perm]
+        picks[0] += shuffled[:n_train]
+        picks[1] += shuffled[n_train : n_train + n_dev]
+        picks[2] += shuffled[n_train + n_dev :]
+    return [sorted(part) for part in picks]
+
+
+def probe_split_oracle(speakers, rng):
+    by_speaker = {}
+    for i, speaker in enumerate(speakers):
+        by_speaker.setdefault(speaker, []).append(i)
+    train_idx, eval_idx = [], []
+    for speaker in sorted(by_speaker):
+        idxs = by_speaker[speaker]
+        perm = rng.permutation(len(idxs))
+        n_eval = max(1, int(an.PROBE_EVAL_FRAC * len(idxs)))
+        shuffled = [idxs[p] for p in perm]
+        eval_idx += shuffled[:n_eval]
+        train_idx += shuffled[n_eval:]
+    return sorted(train_idx), sorted(eval_idx)
+
+
+def outcome(f):
+    """f's value, or the message of the ValueError it raised."""
+    try:
+        return f()
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def speaker_lists(draw):
+    """Speaker labels of 1-6 groups of 1-30 items, in a shuffled order."""
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    labels = draw(st.lists(st.integers(0, 9), min_size=len(sizes), max_size=len(sizes), unique=True))
+    return draw(st.permutations([s for s, n in zip(labels, sizes) for _ in range(n)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    speakers=speaker_lists(),
+    train_frac=st.floats(0.2, 0.8),
+    dev_frac=st.floats(0.05, 0.4),
+    seed=st.integers(0, 2**32),
+)
+def test_stratified_parts_reproduce_both_former_cuts(speakers, train_frac, dev_frac, seed):
+    assume(train_frac + dev_frac < 1)
+    ds = Dataset(
+        [Utterance(f"u{i}", s, None, np.zeros((1, 1))) for i, s in enumerate(speakers)],
+        ["a", "|"], [f"s{s}" for s in range(10)],
+    )
+    index = {u.id: i for i, u in enumerate(ds.utterances)}
+    parts = lambda: [[index[u.id] for u in part.utterances] for part in gd.split(ds, train_frac, dev_frac, seed)]
+    got = outcome(parts)
+    want = outcome(lambda: split_loop_oracle(speakers, train_frac, dev_frac, RngStream(seed, "split")))
+    assert got == want
+    held_out, training = gd.stratified_parts(speakers, RngStream(seed, "probe"), an._probe_cut)
+    assert (training, held_out) == probe_split_oracle(speakers, RngStream(seed, "probe"))
 
 
 def test_partition_semi_relabels_both_parts():

@@ -124,27 +124,27 @@ def test_weight_norm_gradient():
 
 def test_dropout_rate_zero_identity_both_modes():
     x = Tensor(np.ones((3, 2)))
-    for mode in ("train", "eval"):
-        out = layers.dropout(x, 0.0, mode, [RngStream(1, "d")])
+    for rngs in ([RngStream(1, "d")], None):  # train mode, eval mode
+        out = layers.dropout(x, 0.0, rngs)
         np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_eval_identity_at_paper_rate():
     x = Tensor(np.arange(6.0).reshape(3, 2))
-    out = layers.dropout(x, 0.25, "eval")
+    out = layers.dropout(x, 0.25)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_train_preserves_mean():
     rng = RngStream(42, "dropout-mc")
     x = Tensor(np.ones(100_000))
-    out = layers.dropout(x, 0.25, "train", [rng])
+    out = layers.dropout(x, 0.25, [rng])
     assert abs(out.data.mean() - 1.0) < 0.01
 
 
 def test_dropout_invalid_rate():
     with pytest.raises(ValueError):
-        layers.dropout(Tensor(np.ones(2)), 1.0, "train", [RngStream(1, "d")])
+        layers.dropout(Tensor(np.ones(2)), 1.0, [RngStream(1, "d")])
 
 
 # --- pooling ---
@@ -265,13 +265,13 @@ def test_gated_conv_block_shapes_and_gradcheck():
     store = tz.ParamStore()
     blk = layers.GatedConv(store, "l0", "main", 3, 4, 5, 0.0, RngStream(3, "init"))
     x = Tensor(np.random.default_rng(19).normal(size=(6, 3)))
-    out = blk.forward(x, "eval")
+    out = blk.forward(x)
     assert out.shape == (6, 4)
 
     xv = np.random.default_rng(20).normal(size=(4, 3))
 
     def build(xt):
-        h = blk.forward(xt, "eval")
+        h = blk.forward(xt)
         return tz.sum_reduce(tz.mul(h, h))
 
     check_gradients(build, [xv], tol=1e-6)
@@ -309,7 +309,7 @@ def test_gated_conv_init_gain_independent_of_dropout():
 
     def gain(rate):
         blk = layers.GatedConv(tz.ParamStore(), "l0", "main", 16, 16, 5, rate, RngStream(5, "init"))
-        return blk.forward(x, "train", [RngStream(6, "drop")]).data.std() / x.data.std()
+        return blk.forward(x, [RngStream(6, "drop")]).data.std() / x.data.std()
 
     g0 = gain(0.0)
     for rate in (0.25, 0.5):
@@ -355,14 +355,14 @@ def test_packed_dropout_masks_are_the_per_utterance_draws():
     packing = layers.Packing(LENGTHS)
     x = Tensor(np.ones((packing.rows, 4)))
     # one stream per utterance, as in training
-    out = layers.dropout(x, 0.25, "train", [RngStream(8, f"u{i}") for i in range(len(LENGTHS))], packing)
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", [RngStream(8, f"u{i}")]).data
+    out = layers.dropout(x, 0.25, [RngStream(8, f"u{i}") for i in range(len(LENGTHS))], packing)
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [RngStream(8, f"u{i}")]).data
              for i, n in enumerate(LENGTHS)]
     assert np.array_equal(out.data, np.concatenate(alone))
     # one stream shared in utterance order, as in probe training
-    out = layers.dropout(x, 0.25, "train", [RngStream(9, "p")] * len(LENGTHS), packing)
+    out = layers.dropout(x, 0.25, [RngStream(9, "p")] * len(LENGTHS), packing)
     shared = RngStream(9, "p")
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, "train", [shared]).data for n in LENGTHS]
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [shared]).data for n in LENGTHS]
     assert np.array_equal(out.data, np.concatenate(alone))
 
 

@@ -197,7 +197,7 @@ def test_representation_at_fork_matches_branch_input():
     rep = gm.extract_representation(m, x, m.cfg.fork_layer)
     xt = tz.Tensor(x)
     with tz.no_grad():
-        direct = gm._run_stack(m, xt, m.cfg.fork_layer, "eval", None).data
+        direct = gm._run_stack(m, xt, m.cfg.fork_layer, None).data
     assert np.array_equal(rep, direct)
 
 
@@ -368,11 +368,35 @@ def test_packed_train_forward_draws_each_utterances_own_masks():
     m = build_model(toy_config(), seed=62)
     xs = ragged_inputs()
     streams = [RngStream(5, f"u{i}") for i in range(len(xs))]
-    packing, em, logits = gm.forward(m, xs, 0.3, "train", streams)
+    packing, em, logits = gm.forward(m, xs, 0.3, streams)
     for b, (xb, stream) in enumerate(zip(xs, streams)):
         em1, logits1 = gm.forward_joint(m, xb, 0.3, "train", stream)
         assert np.array_equal(packing.split(em.data)[b], em1.data)
         assert np.array_equal(logits.data[b], logits1.data)
+
+
+WRAPPERS = {
+    "forward_acoustic": lambda m, x, mode, rng: gm.forward_acoustic(m, x, mode, rng),
+    "forward_speaker": lambda m, x, mode, rng: gm.forward_speaker(m, x, 0.3, mode, rng),
+    "forward_joint": lambda m, x, mode, rng: gm.forward_joint(m, x, 0.3, mode, rng),
+}
+
+
+@pytest.mark.parametrize("name", list(WRAPPERS))
+def test_wrappers_read_the_mode_string(name):
+    call = WRAPPERS[name]
+    m = build_model(toy_config(), seed=63)
+    x = rand_input(seed=9)
+    with pytest.raises(ValueError, match="mode must be 'train' or 'eval', got 'bogus'"):
+        call(m, x, "bogus", RngStream(1, "d"))
+    with pytest.raises(ValueError, match="train mode needs an RngStream"):
+        call(m, x, "train", None)
+    # eval mode ignores a stream; train mode draws its masks from it
+    leaves = lambda out: [t.data for t in (out if isinstance(out, tuple) else (out,))]
+    ev, ev_rng = leaves(call(m, x, "eval", None)), leaves(call(m, x, "eval", RngStream(1, "d")))
+    assert all(np.array_equal(a, b) for a, b in zip(ev, ev_rng, strict=True))
+    train = leaves(call(m, x, "train", RngStream(1, "d")))
+    assert not all(np.array_equal(a, b) for a, b in zip(ev, train, strict=True))
 
 
 def packed_outputs(m, xs):

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from gradflip import config as cf, data as gd, tensor as tz, trainer as tr
+from gradflip import analysis, config as cf, data as gd, model as gm, tensor as tz, trainer as tr
 from gradflip.layers import PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
 from gradflip.trainer import LambdaSchedule, TrainConfig, lambda_at
-from helpers import count_tape_nodes, under_eval_budgets
+from helpers import EVAL_BUDGETS, count_tape_nodes, under_eval_budgets
 
 
 def tiny_data(seed=101, semi_speakers=0, utts=6):
@@ -287,6 +287,52 @@ def test_mixed_batch_rejected():
         tr.compute_gradients(m, mixed, "semi", 0.1)
 
 
+@pytest.mark.parametrize("mode", ["baseline", "al", "semi"])
+def test_a_training_step_needs_a_dropout_stream(mode):
+    train_ds, semi_ds = tiny_data(semi_speakers=1)
+    batch = (semi_ds if mode == "semi" else train_ds).utterances[:2]
+    m = tiny_model(n_speakers=4 if mode == "semi" else 3, seed=44)
+    with pytest.raises(ValueError, match="needs an RngStream"):
+        tr.step(m, batch, mode, 0.1)
+    with pytest.raises(ValueError, match="needs an RngStream"):
+        tr.compute_gradients(m, batch, mode, 0.1)
+
+
+def two_pass_dev_metrics(m, dev):
+    """Dev LER and speaker accuracy as the trainer computed them before one
+    forward per pack served both: an acoustic-only LER pass, then a
+    speaker-only pass over the same packs."""
+    ler = analysis.evaluate_ler(m, dev).value
+    correct = 0
+    for chunk in gm.chunks(dev.utterances, [len(u.features) for u in dev.utterances]):
+        with tz.no_grad():
+            _, _, logits = gm.forward(m, [u.features for u in chunk], acoustic=False)
+        correct += int(np.sum(np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]))
+    return ler, correct / len(dev.utterances)
+
+
+def test_dev_metrics_run_one_forward_per_pack(monkeypatch):
+    dev, _ = tiny_data(seed=105, utts=8)
+    m = tiny_model(seed=45)
+    forward = gm.forward
+    calls = []
+
+    def spy(m, xs, *args, **kwargs):
+        calls.append(len(xs))
+        return forward(m, xs, *args, **kwargs)
+
+    for budget in EVAL_BUDGETS:
+        monkeypatch.setattr(gm, "EVAL_FRAMES", budget)
+        want = two_pass_dev_metrics(m, dev)
+        monkeypatch.setattr(gm, "forward", spy)
+        got = tr._dev_metrics(m, dev)
+        monkeypatch.setattr(gm, "forward", forward)
+        packs = gm.chunks(dev.utterances, [len(u.features) for u in dev.utterances])
+        assert calls == [len(p) for p in packs], budget
+        assert got == want, budget  # same bits
+        calls.clear()
+
+
 # --- semi batch stream ---
 
 
@@ -295,7 +341,8 @@ def test_semi_interleave_counting():
     batches = tr.make_semi_batches(
         train_ds.utterances, semi_ds.utterances, ratio=2, batch_size=4, rng=RngStream(3, "b")
     )
-    kinds = [k for k, _ in batches]
+    # a batch's kind is read from its transcripts, as the trainer reads it
+    kinds = ["speaker_only" if b[0].transcript is None else "transcribed" for b in batches]
     n_train_batches = math.ceil(len(train_ds.utterances) / 4)
     assert kinds.count("transcribed") == n_train_batches
     assert kinds.count("speaker_only") == n_train_batches // 2
