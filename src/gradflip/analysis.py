@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from gradflip import asg, model as gm, tensor as tz
-from gradflip.data import Dataset, stratified_parts
+from gradflip.data import Dataset, shuffled_batches, stratified_parts
 from gradflip.layers import Packing, PoolingConfig
 from gradflip.model import ModelGraph, SpeakerBranch
 from gradflip.rng import RngStream, stream_seed
@@ -34,12 +34,6 @@ PROBE_CSV_HEADER = "variant,layer,accuracy,chance,n_eval,seed"
 EVAL_CSV_HEADER = "split,metric,value,n_utts"
 
 
-def _as_model(checkpoint) -> ModelGraph:
-    if isinstance(checkpoint, ModelGraph):
-        return checkpoint
-    return gm.load_checkpoint(checkpoint)
-
-
 @dataclass
 class RepDump:
     """Frozen eval-mode representations from one checkpoint at one layer."""
@@ -53,9 +47,8 @@ class RepDump:
     pooling: PoolingConfig
 
 
-def dump_reps(checkpoint, dataset: Dataset, layer: int) -> RepDump:
+def dump_reps(m: ModelGraph, dataset: Dataset, layer: int) -> RepDump:
     """Extract layer activations for every utterance (layer 0 = raw input)."""
-    m = _as_model(checkpoint)
     items = [
         (u.id, rep, u.speaker)
         for chunk in gm.chunks(dataset.utterances, [len(u.features) for u in dataset.utterances])
@@ -115,11 +108,10 @@ def train_probe(dump: RepDump, epochs: int, seed: int) -> float:
         dump.dropout_rate, dump.pooling, dump.n_speakers, (init.child("conv"), init.child("out")),
     )
     dropout_rng = rng.child("dropout")
+    training = [dump.items[i] for i in train_idx]
 
     for epoch in range(epochs):
-        order = rng.child(f"shuffle{epoch}").permutation(len(train_idx))
-        for start in range(0, len(order), PROBE_BATCH):
-            chunk = [dump.items[train_idx[i]] for i in order[start : start + PROBE_BATCH]]
+        for chunk in shuffled_batches(training, PROBE_BATCH, rng.child(f"shuffle{epoch}")):
             logits = _probe_logits(probe, [rep for _, rep, _ in chunk], dropout_rng)
             nlls = gm.speaker_nlls(logits, [speaker for _, _, speaker in chunk])
             grads = tz.backward(tz.smul(tz.sum_reduce(nlls), 1.0 / len(chunk)), params)
@@ -202,13 +194,16 @@ ERROR_RATES = {"ler": _letter_errors, "wer": _word_errors}
 REFERENCE_UNITS = {"ler": "tokens", "wer": "words"}
 
 
-def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[str, EvalResult]:
+def evaluate(m: ModelGraph, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[str, EvalResult]:
     """Scores of the named metrics over the transcribed utterances: error
     rates ("ler", "wer"), each utterance Viterbi-decoded once and scored by
     every one, and "speaker_acc", the share whose speaker logits peak at
-    its speaker, from the same forward pass. The speaker branch runs only
-    for "speaker_acc". Untranscribed utterances are skipped and counted."""
-    m = _as_model(checkpoint)
+    its speaker, from the same forward pass. The acoustic head and Viterbi
+    run only for an error rate, the speaker branch only for "speaker_acc".
+    Untranscribed utterances are skipped and counted."""
+    for name in metrics:
+        if name not in (*ERROR_RATES, "speaker_acc"):
+            raise ValueError(f"unknown metric {name!r}: evaluate knows ler, wer and speaker_acc")
     rates = [name for name in metrics if name != "speaker_acc"]
     speaker = "speaker_acc" in metrics
     counts = dict.fromkeys(metrics, 0)  # errors of a rate, hits of the accuracy
@@ -218,12 +213,15 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
         raise ValueError("dataset has no transcribed utterances to score")
     for chunk in gm.chunks(transcribed, [len(u.features) for u in transcribed]):
         with tz.no_grad():
-            packing, em, logits = gm.forward(m, [u.features for u in chunk], speaker=speaker)
+            packing, em, logits = gm.forward(
+                m, [u.features for u in chunk], acoustic=bool(rates), speaker=speaker
+            )
         if speaker:
             hits = np.argmax(logits.data, axis=1) == [u.speaker for u in chunk]
             counts["speaker_acc"] += int(np.sum(hits))
             totals["speaker_acc"] += len(chunk)
-        for u, path in zip(chunk, asg.viterbi(em.data, m.transitions.data, packing)):
+        paths = asg.viterbi(em.data, m.transitions.data, packing) if rates else []
+        for u, path in zip(chunk, paths):
             hyp = asg.collapse(path)
             for name in rates:
                 err, n = ERROR_RATES[name](hyp, u.transcript, dataset.separator)
@@ -236,18 +234,18 @@ def evaluate(checkpoint, dataset: Dataset, metrics=tuple(ERROR_RATES)) -> dict[s
     return {name: EvalResult(counts[name] / totals[name], scored, skipped) for name in metrics}
 
 
-def evaluate_ler(checkpoint, dataset: Dataset) -> EvalResult:
+def evaluate_ler(m: ModelGraph, dataset: Dataset) -> EvalResult:
     """Letter error rate: edit distance of collapsed Viterbi paths against
     transcripts, normalized by total reference length."""
-    return evaluate(checkpoint, dataset, ("ler",))["ler"]
+    return evaluate(m, dataset, ("ler",))["ler"]
 
 
-def evaluate_wer(checkpoint, dataset: Dataset) -> EvalResult:
+def evaluate_wer(m: ModelGraph, dataset: Dataset) -> EvalResult:
     """Word error rate from Viterbi output split at the separator token.
 
     No language model is involved; this is the LM-free variant.
     """
-    return evaluate(checkpoint, dataset, ("wer",))["wer"]
+    return evaluate(m, dataset, ("wer",))["wer"]
 
 
 @dataclass
@@ -261,7 +259,7 @@ class ProbeCell:
 
 
 def figure2_report(
-    checkpoints: dict[str, object | None],
+    checkpoints: dict[str, ModelGraph | None],
     layers: dict[str, int | None],
     dataset: Dataset,
     probe_epochs: int,

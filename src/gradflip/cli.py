@@ -174,6 +174,11 @@ def cmd_probe(args, extras) -> int:
     labels = [s for s in args.layers.split(",") if s]
 
     models = {name: gm.load_checkpoint(path) for name, path in checkpoints.items()}
+    for name, path in checkpoints.items():
+        if dataset.dim != models[name].cfg.in_dim:
+            raise ValueError(
+                f"{args.data}: dim {dataset.dim} does not match checkpoint {path}'s {models[name].cfg.in_dim}"
+            )
     cells: list[analysis.ProbeCell] = []
     for name, m in models.items():
         layer_map: dict[str, int | None] = {}

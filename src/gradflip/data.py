@@ -32,7 +32,7 @@ from gradflip.rng import RngStream
 
 __all__ = [
     "GenConfig", "Utterance", "Dataset",
-    "feature_bases", "generate", "stratified_parts", "split", "partition_semi",
+    "feature_bases", "generate", "stratified_parts", "shuffled_batches", "split", "partition_semi",
     "save_dataset", "load_dataset", "datasets_equal", "check_keys",
 ]
 
@@ -220,6 +220,12 @@ def stratified_parts(speakers, rng: RngStream, sizes) -> list[list[int]]:
         for part, run in zip(parts, np.split(perm, np.cumsum(cuts)[:-1])):
             part += [idxs[p] for p in run]
     return [sorted(part) for part in parts]
+
+
+def shuffled_batches(items: list, batch_size: int, rng: RngStream) -> list[list]:
+    """items in one rng.permutation's order, cut into consecutive runs of batch_size."""
+    order = [items[i] for i in rng.permutation(len(items))]
+    return [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
 
 
 def split(ds: Dataset, train_frac: float, dev_frac: float, seed: int) -> tuple[Dataset, Dataset, Dataset]:

@@ -15,12 +15,14 @@ Training runs in three phases:
      differentiates only the speaker loss,
   C: joint training with the scheduled lambda.
 
-Baseline mode ignores the speaker term and the phase structure entirely; it
-runs the acoustic objective for the same total number of epochs.
+`train` walks the rows of `epoch_plan`, one (phase, lambda, updated groups)
+per epoch. Baseline has no speaker term: its rows keep the labels A, B and
+C, but every one runs at lambda 0 and updates both groups.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -29,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from gradflip import analysis, asg, model as gm, tensor as tz
-from gradflip.data import Dataset, Utterance
+from gradflip.data import Dataset, Utterance, shuffled_batches
 from gradflip.model import ModelGraph
 from gradflip.rng import RngStream
 
 __all__ = [
     "LambdaSchedule", "TrainConfig", "MetricsRow", "DivergenceError",
-    "lambda_at", "compute_gradients", "step",
+    "lambda_at", "epoch_plan", "compute_gradients", "step",
     "make_semi_batches", "train", "TrainResult", "METRICS_HEADER",
 ]
 
@@ -123,6 +125,19 @@ class MetricsRow:
                 repr(self.wall_clock_sec),
             ]
         )
+
+
+def epoch_plan(cfg: TrainConfig) -> list[tuple[str, float, tuple[str, ...]]]:
+    """One (phase, lambda, updated groups) row per epoch, in training order.
+    Phase C's lambda follows cfg.lam over its epochs 1..epochs_c."""
+    both = ("main", "speaker")
+    if cfg.mode == "baseline":  # no speaker term: the labels stay, the rules do not
+        return [(phase, 0.0, both) for phase in "A" * cfg.epochs_a + "B" * cfg.epochs_b + "C" * cfg.epochs_c]
+    return (
+        [("A", 0.0, both)] * cfg.epochs_a
+        + [("B", 0.0, ("speaker",))] * cfg.epochs_b
+        + [("C", lambda_at(cfg.lam, e, cfg.epochs_c), both) for e in range(1, cfg.epochs_c + 1)]
+    )
 
 
 def _junction_factor(mode: str, lam: float) -> float:
@@ -240,10 +255,8 @@ def make_semi_batches(
         raise ValueError("semi mode requires a non-empty semi set")
     if ratio < 1:
         raise ValueError(f"semi interleave ratio must be >= 1, got {ratio}")
-    t_order = [train_utts[i] for i in rng.permutation(len(train_utts))]
-    s_order = [semi_utts[i] for i in rng.permutation(len(semi_utts))]
-    t_batches = [t_order[i : i + batch_size] for i in range(0, len(t_order), batch_size)]
-    s_batches = [s_order[i : i + batch_size] for i in range(0, len(s_order), batch_size)]
+    t_batches = shuffled_batches(train_utts, batch_size, rng)
+    s_batches = shuffled_batches(semi_utts, batch_size, rng)
     out = []
     for bi, b in enumerate(t_batches, start=1):
         out.append(b)
@@ -288,43 +301,21 @@ def train(
             raise ValueError(
                 f"semi mode needs a model with {need} speaker outputs, got {m.cfg.n_speakers}"
             )
+        ratio = cfg.semi_ratio or max(1, round(len(train_ds.utterances) / len(semi_utts)))
+        cut = functools.partial(make_semi_batches, train_ds.utterances, semi_utts, ratio, cfg.batch_size)
     else:
-        semi_utts = []
+        cut = functools.partial(shuffled_batches, train_ds.utterances, cfg.batch_size)
 
-    sched = cfg.schedule()
-    plan = ["A"] * cfg.epochs_a + ["B"] * cfg.epochs_b + ["C"] * cfg.epochs_c
     shuffle_rng = RngStream(cfg.seed, "train/shuffle")
     dropout_rng = RngStream(cfg.seed, "train/dropout")
     rows: list[MetricsRow] = []
     best_ler = float("inf")
     best_snap = None
-    c_seen = 0
 
-    for epoch, phase in enumerate(plan, start=1):
+    for epoch, (phase, lam, update_groups) in enumerate(epoch_plan(cfg), start=1):
         t0 = time.perf_counter()
-        if cfg.mode == "baseline":
-            phase_rule = "A"  # baseline ignores the phase structure
-        else:
-            phase_rule = phase
-        if phase_rule == "C":
-            c_seen += 1
-            lam = lambda_at(sched, c_seen, cfg.epochs_c)
-        else:
-            lam = 0.0
-        update_groups = ("speaker",) if phase_rule == "B" else ("main", "speaker")
-
-        if cfg.mode == "semi":
-            ratio = cfg.semi_ratio or max(1, round(len(train_ds.utterances) / len(semi_utts)))
-            batches = make_semi_batches(
-                train_ds.utterances, semi_utts, ratio, cfg.batch_size, shuffle_rng.child(f"epoch{epoch}")
-            )
-        else:
-            order = shuffle_rng.child(f"epoch{epoch}").permutation(len(train_ds.utterances))
-            utts = [train_ds.utterances[i] for i in order]
-            batches = [utts[i : i + cfg.batch_size] for i in range(0, len(utts), cfg.batch_size)]
-
         ac_losses, sp_losses = [], []
-        for bi, batch in enumerate(batches):
+        for bi, batch in enumerate(cut(shuffle_rng.child(f"epoch{epoch}"))):
             try:
                 ac, sp = step(
                     m, batch, cfg.mode, lam, cfg.lr_main, cfg.lr_speaker,
@@ -349,11 +340,8 @@ def train(
             )
 
         dev_ler, dev_acc = _dev_metrics(m, dev_ds)
-        rows.append(
-            MetricsRow(
-                epoch, phase, ac_mean, sp_mean, dev_ler, dev_acc, lam, time.perf_counter() - t0
-            )
-        )
+        wall = time.perf_counter() - t0
+        rows.append(MetricsRow(epoch, phase, ac_mean, sp_mean, dev_ler, dev_acc, lam, wall))
         if dev_ler < best_ler:
             best_ler = dev_ler
             best_snap = m.params.snapshot()

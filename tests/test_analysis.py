@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflip import analysis as an, data as gd, model as gm
+from gradflip import analysis as an, asg, data as gd, model as gm
 from gradflip.analysis import RepDump, edit_distance
 from gradflip.data import Dataset, Utterance
 from gradflip.layers import PoolingConfig
@@ -409,6 +409,36 @@ def test_evaluate_runs_the_speaker_branch_only_for_speaker_acc(monkeypatch):
     assert an.evaluate(m, ds).keys() == {"ler", "wer"}
     assert asked == [True, False, False]
     assert both["speaker_acc"].n_scored == len(ds.utterances)
+
+
+def test_evaluate_decodes_nothing_for_speaker_acc_alone(monkeypatch):
+    ds = small_dataset(seed=80, utts=5)
+    m = oracle_model_for(ds, seed=70)
+    forward, viterbi, heads, decoded = gm.forward, asg.viterbi, [], []
+
+    def forward_spy(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        heads.append(out[1] is not None)
+        return out
+
+    def viterbi_spy(*args):
+        decoded.append(args)
+        return viterbi(*args)
+
+    monkeypatch.setattr(gm, "forward", forward_spy)
+    monkeypatch.setattr(asg, "viterbi", viterbi_spy)
+    alone = an.evaluate(m, ds, ("speaker_acc",))
+    assert heads == [False] and decoded == []
+    assert alone == {"speaker_acc": an.evaluate(m, ds, ("ler", "speaker_acc"))["speaker_acc"]}
+    assert heads == [False, True] and len(decoded) == 1
+
+
+@pytest.mark.parametrize("metrics", [("cer",), ("ler", "speaker_accuracy")])
+def test_evaluate_names_an_unknown_metric(metrics):
+    ds = small_dataset(seed=80, utts=5)
+    m = oracle_model_for(ds, seed=70)
+    with pytest.raises(ValueError, match=f"unknown metric '{metrics[-1]}'"):
+        an.evaluate(m, ds, metrics)
 
 
 def test_eval_csv_format(tmp_path):

@@ -728,6 +728,20 @@ def test_train_rejects_an_untranscribed_dev_utterance(mini, capsys):
     assert f"error: {dev}: utterance {rec['id']} has no transcript" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layer", ["0", "mid"])
+def test_probe_rejects_a_data_file_the_checkpoint_does_not_fit(eval_inputs, capsys, layer):
+    # layer 0 dumps the raw input, a named layer runs the stack: both need the checkpoint's dim
+    root = eval_inputs[0]
+    other = gen_variant(root / "cfg.txt", root / f"probe-dim-{layer}", "--gen.dim=7")
+    out = root / f"probe-dim-{layer}" / "out"
+    argv = ["probe", "--checkpoints", f"m={root}/model.ckpt", "--layers", layer, "--data",
+            f"{other}/synth.dev", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {other}/synth.dev: dim 7 does not match checkpoint {root}/model.ckpt's 6" in err
+    assert not (out / "probe.csv").exists()
+
+
 def test_probe_rejects_a_repeated_checkpoint_name(eval_inputs, capsys):
     root = eval_inputs[0]
     argv = ["probe", "--checkpoints", f"a={root}/model.ckpt,b={root}/model.ckpt,a={root}/model.ckpt",

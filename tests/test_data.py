@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradflip import analysis as an, config as cf, data as gd
+from gradflip import analysis as an, config as cf, data as gd, trainer as tr
 from gradflip.data import Dataset, GenConfig, Utterance
 from gradflip.rng import RngStream
 
@@ -241,6 +241,60 @@ def test_stratified_parts_reproduce_both_former_cuts(speakers, train_frac, dev_f
     assert got == want
     held_out, training = gd.stratified_parts(speakers, RngStream(seed, "probe"), an._probe_cut)
     assert (training, held_out) == probe_split_oracle(speakers, RngStream(seed, "probe"))
+
+
+# --- the batch cutter ---
+# The three loops below shuffled and cut batches on their own before the
+# trainer, trainer.make_semi_batches and analysis.train_probe moved onto
+# data.shuffled_batches; they stay here as oracles of its draws and order.
+
+
+def train_epoch_oracle(utts, batch_size, rng):
+    order = rng.permutation(len(utts))
+    utts = [utts[i] for i in order]
+    return [utts[i : i + batch_size] for i in range(0, len(utts), batch_size)]
+
+
+def semi_batches_oracle(train_utts, semi_utts, ratio, batch_size, rng):
+    t_order = [train_utts[i] for i in rng.permutation(len(train_utts))]
+    s_order = [semi_utts[i] for i in rng.permutation(len(semi_utts))]
+    t_batches = [t_order[i : i + batch_size] for i in range(0, len(t_order), batch_size)]
+    s_batches = [s_order[i : i + batch_size] for i in range(0, len(s_order), batch_size)]
+    out = []
+    for bi, b in enumerate(t_batches, start=1):
+        out.append(b)
+        if bi % ratio == 0:
+            out.append(s_batches[(bi // ratio - 1) % len(s_batches)])
+    return out
+
+
+def probe_epoch_oracle(items, train_idx, rng):
+    order = rng.permutation(len(train_idx))
+    return [
+        [items[train_idx[i]] for i in order[start : start + an.PROBE_BATCH]]
+        for start in range(0, len(order), an.PROBE_BATCH)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    items=st.lists(st.integers(), max_size=40),
+    semi=st.lists(st.integers(), min_size=1, max_size=20),
+    held=st.lists(st.booleans(), max_size=40),
+    batch_size=st.integers(1, 9),
+    ratio=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_shuffled_batches_reproduce_the_three_former_cuts(items, semi, held, batch_size, ratio, seed):
+    rng = lambda: RngStream(seed, "train/shuffle/epoch3")
+    assert gd.shuffled_batches(items, batch_size, rng()) == train_epoch_oracle(items, batch_size, rng())
+    # one stream, the train pool drawn before the semi pool
+    got = tr.make_semi_batches(items, semi, ratio, batch_size, rng())
+    assert got == semi_batches_oracle(items, semi, ratio, batch_size, rng())
+    train_idx = [i for i in range(len(items)) if not (i < len(held) and held[i])]
+    probe = RngStream(seed, "probe/shuffle0")
+    got = gd.shuffled_batches([items[i] for i in train_idx], an.PROBE_BATCH, probe)
+    assert got == probe_epoch_oracle(items, train_idx, RngStream(seed, "probe/shuffle0"))
 
 
 def test_partition_semi_relabels_both_parts():

@@ -480,6 +480,47 @@ def test_metrics_do_not_depend_on_the_eval_frame_budget(monkeypatch):
     assert all(r == results[0] for r in results)
 
 
+BOTH, SPEAKER = ("main", "speaker"), ("speaker",)
+PHASED = [BOTH, BOTH, SPEAKER, BOTH, BOTH, BOTH]
+
+
+@pytest.mark.parametrize(
+    "mode,groups", [("baseline", [BOTH] * 6), ("mt", PHASED), ("al", PHASED), ("semi", PHASED)], ids=tr.MODES
+)
+def test_epoch_plan_rows(mode, groups):
+    cfg = train_cfg(mode, epochs_a=2, epochs_b=1, epochs_c=3)
+    plan = tr.epoch_plan(cfg)
+    c_lams = [0.0] * 3 if mode == "baseline" else [lambda_at(cfg.lam, e, 3) for e in (1, 2, 3)]
+    assert [phase for phase, _, _ in plan] == ["A", "A", "B", "C", "C", "C"]
+    assert [lam for _, lam, _ in plan] == [0.0] * 3 + c_lams
+    assert [g for _, _, g in plan] == groups
+    # the preset: a static lambda for mt, a rising ramp for al and semi
+    if mode == "mt":
+        assert c_lams == [cfg.lam.value] * 3
+    elif mode != "baseline":
+        assert 0.0 < c_lams[0] < c_lams[1] < c_lams[2] < cfg.lam.lambda_max
+
+
+def test_train_walks_the_epoch_plan(monkeypatch):
+    train_ds, _ = tiny_data(utts=8)
+    _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=13)
+    cfg = train_cfg("al", epochs_a=1, epochs_b=1, epochs_c=1, batch_size=4,
+                    lr_main=0.05, lr_speaker=0.02, seed=14)
+    plan = [("C", 0.25, BOTH), ("B", 0.0, SPEAKER), ("A", 0.0, BOTH)]
+    monkeypatch.setattr(tr, "epoch_plan", lambda c: plan if c is cfg else None)
+    real_step, steps = tr.step, []
+
+    def spy(*args):
+        steps.append((args[3], args[7]))
+        return real_step(*args)
+
+    monkeypatch.setattr(tr, "step", spy)
+    rows = tr.train(tiny_model(seed=50), train_ds, dev_ds, cfg).rows
+    assert [(r.phase, r.lam) for r in rows] == [(phase, lam) for phase, lam, _ in plan]
+    per_epoch = len(steps) // 3
+    assert steps == [(lam, groups) for _, lam, groups in plan for _ in range(per_epoch)]
+
+
 def test_lambda_schedule_spans_phase_c_only():
     train_ds, _ = tiny_data(utts=8)
     _, dev_ds, _ = gd.split(train_ds, 0.5, 0.25, seed=13)
