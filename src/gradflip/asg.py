@@ -14,8 +14,8 @@ duplicates (no repetition tokens are used). The loss of a packed batch
 runs over both graphs of every utterance, padded to a common length and
 state count. The alpha pass gives the scores, the beta pass the state
 and edge posteriors that are their gradients. Viterbi decoding (`viterbi`)
-shares the forward sweep, with max in place of logadd. A lone utterance is the
-batch of one.
+runs its own max-plus loop over the same padded batch. A lone utterance is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -64,31 +64,23 @@ def _padded(frames: np.ndarray, packing: Packing) -> np.ndarray:
     return np.concatenate([frames, np.full((1,) + frames.shape[1:], -np.inf)])[packing.grid()]
 
 
-def _sweep(em: np.ndarray, tr: np.ndarray, best: bool = False):
+def _sweep(em: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Forward recursion over the full graph of each utterance, em (B, T, K):
 
-        alpha_t(i) = em_t(i) + op_j(alpha_{t-1}(j) + tr(j, i))
-
-    with op = logadd, or with best = max, which also returns the backpointers
-    (ties go to the lowest source token)."""
+        alpha_t(i) = em_t(i) + logadd_j(alpha_{t-1}(j) + tr(j, i))"""
     alpha = np.empty_like(em)
     alpha[:, 0] = em[:, 0]
-    back = np.zeros(em.shape, dtype=np.int64) if best else None
     for t in range(1, em.shape[1]):
         cand = alpha[:, t - 1, :, None] + tr  # cand[b, j, i]: arrive at i from j
-        if best:
-            back[:, t] = np.argmax(cand, axis=1)  # first max = lowest source index
-            alpha[:, t] = em[:, t] + np.take_along_axis(cand, back[:, t, None], axis=1)[:, 0]
-        else:
-            alpha[:, t] = em[:, t] + _logsumexp(cand, axis=1)
-    return alpha, back
+        alpha[:, t] = em[:, t] + _logsumexp(cand, axis=1)
+    return alpha
 
 
 def _full_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray):
     """Log-add score of all paths of each utterance, em (B, T, K) padded with
     -inf past frame final[b]. Returns the scores (B,) and a function of the
     per-utterance upstream gradient giving the gradients of em and tr."""
-    alpha, _ = _sweep(em, tr)
+    alpha = _sweep(em, tr)
     log_z = _logsumexp(alpha[np.arange(len(final)), final], axis=1)
 
     def grads(scale):
@@ -221,20 +213,39 @@ def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _max_sweep(em: np.ndarray, tr: np.ndarray):
+    """The max-plus form of `_sweep`, em (B, T, K), with backpointers
+    back[t, b, i], the source j of state i:
+
+        delta_t(i) = em_t(i) + max_j(delta_{t-1}(j) + tr(j, i))
+
+    The source axis is last, and argmax takes its first maximum: ties go to
+    the lowest source token."""
+    n, t_max, k = em.shape
+    delta, back = np.empty_like(em), np.zeros((t_max, n, k), dtype=np.intp)
+    delta[:, 0] = em[:, 0]
+    cand, starts = np.empty((n, k, k)), np.arange(n * k) * k  # starts: flat index of cand[b, i, 0]
+    for t in range(1, t_max):
+        np.add(delta[:, t - 1, None, :], tr.T, out=cand)  # cand[b, i, j]: arrive at i from j
+        cand.argmax(axis=2, out=back[t])
+        np.add(em[:, t], cand.reshape(-1).take(starts + back[t].reshape(-1)).reshape(n, k), out=delta[:, t])
+    return delta, back
+
+
 def viterbi(em: np.ndarray, tr: np.ndarray, packing: Packing) -> list[np.ndarray]:
     """Best-scoring full-graph path of each utterance of a packed batch:
-    the forward sweep with max in place of logadd, then a backtrack from
-    each utterance's own last frame."""
+    the max-plus sweep over the padded batch, then a backtrack from each
+    utterance's own last frame."""
     last = packing.lengths - 1
     rows = np.arange(len(last))
-    delta, back = _sweep(_padded(em, packing), tr, best=True)
+    delta, back = _max_sweep(_padded(em, packing), tr)
     final = np.argmax(delta[rows, last], axis=1)
     paths = np.zeros(delta.shape[:2], dtype=np.int64)
     state = final
     for t in range(delta.shape[1] - 1, -1, -1):
         state = np.where(last == t, final, state)  # utterances ending at t start here
         paths[:, t] = state
-        state = back[rows, t, state]
+        state = back[t, rows, state]
     return [p[:n] for p, n in zip(paths, packing.lengths)]
 
 
@@ -263,9 +274,7 @@ def path_score(emissions, transitions, path: Sequence[int]) -> float:
 
 def collapse(path: Sequence[int]) -> tuple[int, ...]:
     """Merge adjacent repeats of a frame path into a token sequence."""
-    out: list[int] = []
-    for tok in path:
-        tok = int(tok)
-        if not out or out[-1] != tok:
-            out.append(tok)
-    return tuple(out)
+    p = np.asarray(path, dtype=np.int64).reshape(-1)
+    keep = np.ones(len(p), dtype=bool)  # a token is kept where it differs from the one before
+    np.not_equal(p[1:], p[:-1], out=keep[1:])
+    return tuple(p[keep].tolist())

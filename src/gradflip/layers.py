@@ -129,7 +129,8 @@ def conv1d(
             f"conv1d: weight rows {weight.shape[0]} != kernel_width*C_in {kernel_width * c_in}"
         )
     taps = _packing(x, packing).taps(kernel_width)
-    unfolded = np.concatenate([x.data, np.zeros((1, c_in))])[taps].reshape(t_len, kernel_width * c_in)
+    padded = np.concatenate([x.data, np.zeros((1, c_in))])  # row t_len: the zeros a tap outside reads
+    unfolded = padded.take(taps.reshape(-1), axis=0).reshape(t_len, kernel_width * c_in)
 
     def bw(g, grads):
         if x.grad_tracked:  # the frozen input of a probe, or the features, take no gradient
@@ -138,7 +139,8 @@ def conv1d(
         tz._acc(grads, bias, g.sum(axis=0))
 
     with np.errstate(all="ignore"):
-        out = tz._row_blocked_product(unfolded, weight.data) + bias.data
+        out = tz._row_blocked_product(unfolded, weight.data)
+        out += bias.data
     return tz._node(out, "conv1d", (x, weight, bias), bw)
 
 
@@ -150,7 +152,9 @@ def glu(x: Tensor) -> Tensor:
     half = x.shape[1] // 2
     a, b = x.data[:, :half], x.data[:, half:]
     with np.errstate(all="ignore"):
-        gate = 0.5 * (1.0 + np.tanh(0.5 * b))  # tanh form: no overflow for large negative b
+        gate = np.tanh(0.5 * b)  # 0.5 * (1 + tanh(0.5 * b)) in one buffer: no overflow for large negative b
+        gate += 1.0
+        gate *= 0.5
         out = a * gate
 
     def bw(g, grads):

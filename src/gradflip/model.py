@@ -142,23 +142,20 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelGraph:
     return ModelGraph(cfg, seed)
 
 
-def _check_input(m: ModelGraph, x) -> Tensor:
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if xt.data.ndim != 2 or xt.shape[1] != m.cfg.in_dim:
-        raise tz.ShapeMismatch(
-            f"input must be T x {m.cfg.in_dim}, got {xt.shape}"
-        )
-    if xt.shape[0] < 1:
-        raise tz.ShapeMismatch("input must contain at least one frame")
-    return xt
-
-
 def _pack(m: ModelGraph, xs) -> tuple[Tensor, Packing]:
     """Stack utterances' frames along time; a lone tensor is kept as is,
-    so gradients still reach it."""
-    ts = [_check_input(m, x) for x in xs]
-    x = ts[0] if len(ts) == 1 else Tensor(np.concatenate([t.data for t in ts]))
-    return x, Packing([t.shape[0] for t in ts])
+    so gradients still reach it. Shapes are checked per utterance,
+    finiteness once, on the packed frames."""
+    arrs = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64) for x in xs]
+    for x in arrs:
+        if x.ndim != 2 or x.shape[1] != m.cfg.in_dim:
+            raise tz.ShapeMismatch(f"input must be T x {m.cfg.in_dim}, got {x.shape}")
+        if x.shape[0] < 1:
+            raise tz.ShapeMismatch("input must contain at least one frame")
+    packing = Packing([len(x) for x in arrs])
+    if len(arrs) == 1 and isinstance(xs[0], Tensor):
+        return xs[0], packing
+    return Tensor(np.concatenate(arrs)), packing
 
 
 def _layer_rngs(rngs, label: str):

@@ -52,7 +52,7 @@ class no_grad:
 
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericOverflow(f"{op}: result contains NaN or Inf")
 
 
@@ -195,8 +195,9 @@ ROW_BLOCK = 128
 
 
 def _row_blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, as BLAS calls on blocks of exactly ROW_BLOCK rows of a (the
-    last one padded with zero rows).
+    """a @ b, as one BLAS gemm per block of exactly ROW_BLOCK rows of a (the
+    last one padded with zero rows); the full blocks go to numpy as one
+    stacked product, which still runs one gemm per block.
 
     BLAS picks its kernel by the operand sizes, and kernels round
     differently; with one call size a row's product no longer depends on
@@ -205,8 +206,9 @@ def _row_blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = a.shape[0]
     full = rows - rows % ROW_BLOCK
     out = np.empty((rows, b.shape[1]))
-    for i in range(0, full, ROW_BLOCK):
-        np.matmul(a[i : i + ROW_BLOCK], b, out=out[i : i + ROW_BLOCK])
+    if full:
+        blocks = (full // ROW_BLOCK, ROW_BLOCK)
+        np.matmul(a[:full].reshape(blocks + a.shape[1:]), b, out=out[:full].reshape(blocks + b.shape[1:]))
     if full < rows:
         tail = np.zeros((ROW_BLOCK, a.shape[1]))
         tail[: rows - full] = a[full:]

@@ -433,6 +433,18 @@ def test_evaluate_decodes_nothing_for_speaker_acc_alone(monkeypatch):
     assert heads == [False, True] and len(decoded) == 1
 
 
+def test_evaluate_without_metrics_runs_no_forward(monkeypatch):
+    ds = small_dataset(seed=80, utts=5)
+    m = oracle_model_for(ds, seed=70)
+    calls = []
+    monkeypatch.setattr(gm, "forward", lambda *args, **kwargs: calls.append(args))
+    assert an.evaluate(m, ds, ()) == {}
+    assert calls == []
+    untranscribed = Dataset([dataclasses.replace(u, transcript=None) for u in ds.utterances], ds.vocab, ds.speakers)
+    with pytest.raises(ValueError, match="no transcribed utterances"):
+        an.evaluate(m, untranscribed, ())
+
+
 @pytest.mark.parametrize("metrics", [("cer",), ("ler", "speaker_accuracy")])
 def test_evaluate_names_an_unknown_metric(metrics):
     ds = small_dataset(seed=80, utts=5)

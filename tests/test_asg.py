@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradflip import asg
 from gradflip.layers import Packing
@@ -289,3 +290,87 @@ def test_split_sized_pack_matches_per_utterance_with_ties():
         trs = rng.integers(0, 2, size=(4, 4)).astype(float)
         for path, block in zip(asg.viterbi(em, trs, packing), packing.split(em), strict=True):
             assert np.array_equal(path, asg.viterbi_decode(block, trs))
+
+
+# --- bit-identity oracles: the earlier forms, kept here verbatim ---
+
+
+def old_viterbi(em, tr, packing):
+    """Viterbi as the shared forward sweep with max in place of logadd
+    (candidates cand[b, j, i], source axis in the middle), then the same
+    backtrack. Returns (paths, delta)."""
+    padded = asg._padded(em, packing)
+    delta = np.empty_like(padded)
+    delta[:, 0] = padded[:, 0]
+    back = np.zeros(padded.shape, dtype=np.int64)
+    for t in range(1, padded.shape[1]):
+        cand = delta[:, t - 1, :, None] + tr
+        back[:, t] = np.argmax(cand, axis=1)
+        delta[:, t] = padded[:, t] + np.take_along_axis(cand, back[:, t, None], axis=1)[:, 0]
+    last = packing.lengths - 1
+    rows = np.arange(len(last))
+    final = np.argmax(delta[rows, last], axis=1)
+    paths = np.zeros(delta.shape[:2], dtype=np.int64)
+    state = final
+    for t in range(delta.shape[1] - 1, -1, -1):
+        state = np.where(last == t, final, state)
+        paths[:, t] = state
+        state = back[rows, t, state]
+    return [p[:n] for p, n in zip(paths, packing.lengths)], delta
+
+
+def old_collapse(path):
+    out = []
+    for tok in path:
+        tok = int(tok)
+        if not out or out[-1] != tok:
+            out.append(tok)
+    return tuple(out)
+
+
+@st.composite
+def decode_batches(draw):
+    """A packed batch with length-1 utterances among others, and emissions
+    and transitions that are either small integers (ties everywhere) or
+    normal draws."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    packing = Packing(lengths)
+    if draw(st.booleans()):
+        em = rng.integers(-1, 2, size=(packing.rows, k)).astype(float)
+        tr = rng.integers(-1, 2, size=(k, k)).astype(float)
+    else:
+        em, tr = rng.normal(size=(packing.rows, k)), rng.normal(size=(k, k))
+    return em, tr, packing
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch=decode_batches())
+def test_viterbi_bitwise_matches_shared_sweep_form(batch):
+    em, tr, packing = batch
+    want_paths, want_delta = old_viterbi(em, tr, packing)
+    delta, _ = asg._max_sweep(asg._padded(em, packing), tr)
+    assert delta.tobytes() == want_delta.tobytes()
+    got = asg.viterbi(em, tr, packing)
+    assert len(got) == len(want_paths)
+    for path, want in zip(got, want_paths):
+        assert path.dtype == want.dtype and np.array_equal(path, want)
+
+
+def test_viterbi_ties_and_single_frames_match_shared_sweep_form():
+    # every score equal: every step is a K-way tie, and lone frames end at t = 0
+    packing = Packing([1, 4, 1, 1, 6, 1])
+    for k in (1, 2, 5):
+        em, tr = np.ones((packing.rows, k)), np.zeros((k, k))
+        want, _ = old_viterbi(em, tr, packing)
+        assert all(np.array_equal(p, w) for p, w in zip(asg.viterbi(em, tr, packing), want, strict=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(path=st.lists(st.integers(0, 4), max_size=30))
+def test_collapse_matches_python_loop(path):
+    want = old_collapse(path)
+    for form in (path, np.array(path, dtype=np.int64)):
+        got = asg.collapse(form)
+        assert got == want and all(type(tok) is int for tok in got)

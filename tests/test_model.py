@@ -140,6 +140,27 @@ def test_channel_mismatch_errors():
         gm.forward_acoustic(m, np.zeros((3, 7)))
 
 
+def test_pack_names_a_malformed_utterance_amid_a_batch():
+    m = build_model(toy_config(), seed=8)
+    xs = [rand_input(t_len=3), np.zeros((4, 7)), rand_input(t_len=2)]
+    with pytest.raises(tz.ShapeMismatch, match=r"^input must be T x 4, got \(4, 7\)$"):
+        gm.forward(m, xs)
+    xs[1] = np.zeros((0, 4))
+    with pytest.raises(tz.ShapeMismatch, match="^input must contain at least one frame$"):
+        gm.forward(m, xs)
+
+
+def test_pack_rejects_a_non_finite_frame_in_one_utterance():
+    m = build_model(toy_config(), seed=8)
+    for bad in (np.nan, np.inf):
+        xs = [rand_input(t_len=3), rand_input(t_len=5, seed=1), rand_input(t_len=2, seed=2)]
+        xs[1][2, 0] = bad
+        with pytest.raises(tz.NumericOverflow, match="^tensor: result contains NaN or Inf$"):
+            gm.forward(m, xs)
+        with pytest.raises(tz.NumericOverflow, match="^tensor: result contains NaN or Inf$"):
+            gm.forward(m, xs[1:2])
+
+
 def test_zero_input_gives_equal_speaker_logits():
     # biases start at zero, so a zero input collapses every activation to
     # zero and all speaker logits coincide

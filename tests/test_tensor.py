@@ -246,3 +246,29 @@ def test_rng_stream_determinism_and_independence():
     b = RngStream(5, "y").normal(size=8)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+def blockwise_product(a, b):
+    """The earlier form of `_row_blocked_product`: one matmul call per
+    ROW_BLOCK-row block, then the zero-padded tail block."""
+    rows = a.shape[0]
+    full = rows - rows % tz.ROW_BLOCK
+    out = np.empty((rows, b.shape[1]))
+    for i in range(0, full, tz.ROW_BLOCK):
+        np.matmul(a[i : i + tz.ROW_BLOCK], b, out=out[i : i + tz.ROW_BLOCK])
+    if full < rows:
+        tail = np.zeros((tz.ROW_BLOCK, a.shape[1]))
+        tail[: rows - full] = a[full:]
+        out[full:] = (tail @ b)[: rows - full]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 127, 128, 129, 256, 4099])
+@pytest.mark.parametrize("cols", [7, 32, 64])
+def test_row_blocked_product_matches_blockwise_calls(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    a, b = rng.normal(size=(rows, 48)), rng.normal(size=(48, cols))
+    want = blockwise_product(a, b)
+    # also a strided (non-contiguous) left operand, as a slice of a wider array
+    for left in (a, np.repeat(a, 2, axis=1)[:, ::2]):
+        assert tz._row_blocked_product(left, b).tobytes() == want.tobytes()
