@@ -21,6 +21,7 @@ dropped (the semi-supervised pool).
 from __future__ import annotations
 
 import json
+import os
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,15 +190,16 @@ def generate(cfg: GenConfig) -> Dataset:
             for tok in tokens:
                 reps = int(rng.integers(*cfg.frames_per_token))
                 base = prototypes[tok] * gains[s] + offsets[s]
-                for _ in range(reps):
-                    noise = rng.normal(0.0, cfg.noise_sigma, cfg.dim) if cfg.noise_sigma > 0 else 0.0
-                    frames.append(base + noise)
+                if cfg.noise_sigma > 0:  # one (reps, dim) draw: the normals of reps (dim,) draws
+                    frames.append(base + rng.normal(0.0, cfg.noise_sigma, (reps, cfg.dim)))
+                else:  # + 0.0 turns a -0.0 of base into 0.0
+                    frames.append(np.broadcast_to(base + 0.0, (reps, cfg.dim)))
             utterances.append(
                 Utterance(
                     id=f"spk{s:03d}-u{u:04d}",
                     speaker=s,
                     transcript=tuple(tokens) if s < cfg.n_speakers else None,
-                    features=np.asarray(frames, dtype=np.float64),
+                    features=np.concatenate(frames),
                 )
             )
     vocab = _letter_names(cfg.alphabet_size) + ["|"]
@@ -269,68 +271,86 @@ def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    lines = [
-        json.dumps(
-            {"format_version": FILE_VERSION, "dim": ds.dim, "vocab": ds.vocab, "speakers": ds.speakers},
-            sort_keys=True,
-        )
-    ]
-    for u in ds.utterances:
-        rec = {
-            "id": u.id,
-            "speaker": u.speaker,
-            "transcript": list(u.transcript) if u.transcript is not None else None,
-            "frames": u.features.tolist(),  # shortest round-trip repr
-        }
-        lines.append(json.dumps(rec, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ds as one JSON header line, then one JSON utterance per line.
+
+    Each line is encoded and written on its own, so memory does not grow
+    with the file. The lines go to a temporary file in the same directory,
+    renamed over `path` once complete: a write that fails leaves any
+    previous file at `path` as it was.
+    """
+    header = {"format_version": FILE_VERSION, "dim": ds.dim, "vocab": ds.vocab, "speakers": ds.speakers}
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for u in ds.utterances:
+                rec = {
+                    "id": u.id,
+                    "speaker": u.speaker,
+                    "transcript": list(u.transcript) if u.transcript is not None else None,
+                    "frames": u.features.tolist(),  # shortest round-trip repr
+                }
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(path) -> Dataset:
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty dataset file")
+    """Read a file written by save_dataset, one line at a time.
+
+    Line numbers in errors count the lines str.splitlines() finds, which
+    also splits at \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029; save_dataset
+    writes none of them.
+    """
 
     def fail(lineno, msg):
         raise ValueError(f"{path}: line {lineno}: {msg}")
 
-    try:
-        header = json.loads(text[0])
-    except json.JSONDecodeError as e:
-        fail(1, f"bad header: {e}")
-    check_keys(f"{path}: line 1: header", header, HEADER_KEYS)
-    if header["format_version"] != FILE_VERSION:
-        fail(1, f"unsupported format version {header['format_version']}")
-    dim, vocab, speakers = header["dim"], header["vocab"], header["speakers"]
-    utts = []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
+    with open(path) as fh:
+        lines = (piece for line in fh for piece in line.splitlines())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty dataset file")
         try:
-            rec = json.loads(line)
+            header = json.loads(first)
         except json.JSONDecodeError as e:
-            fail(lineno, f"bad record: {e}")
-        check_keys(f"{path}: line {lineno}: record", rec, RECORD_KEYS)
-        try:
-            features = np.asarray(rec["frames"], dtype=np.float64)
-        except (TypeError, ValueError):  # ragged rows or non-numbers
-            features = None
-        if features is None or features.ndim != 2 or not len(features) or features.shape[1] != dim:
-            fail(lineno, f"frames must be a non-empty list of rows of dim={dim} numbers")
-        if not np.all(np.isfinite(features)):  # JSON NaN, Infinity or an overflowing literal
-            fail(lineno, "key 'frames' must hold finite numbers")
-        speaker = rec["speaker"]
-        if not (0 <= speaker < len(speakers)):
-            fail(lineno, f"speaker label {speaker} outside table of {len(speakers)}")
-        transcript = rec["transcript"]
-        if transcript is not None:
-            if any(type(t) is not int for t in transcript):
-                fail(lineno, "transcript tokens must be integers")
+            fail(1, f"bad header: {e}")
+        check_keys(f"{path}: line 1: header", header, HEADER_KEYS)
+        if header["format_version"] != FILE_VERSION:
+            fail(1, f"unsupported format version {header['format_version']}")
+        dim, vocab, speakers = header["dim"], header["vocab"], header["speakers"]
+        utts = []
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
             try:
-                transcript = validate_target(transcript, len(vocab), len(features))
-            except ValueError as e:
-                fail(lineno, f"key 'transcript': {e}")
-        utts.append(Utterance(rec["id"], speaker, transcript, features))
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(lineno, f"bad record: {e}")
+            check_keys(f"{path}: line {lineno}: record", rec, RECORD_KEYS)
+            try:
+                features = np.asarray(rec["frames"], dtype=np.float64)
+            except (TypeError, ValueError):  # ragged rows or non-numbers
+                features = None
+            if features is None or features.ndim != 2 or not len(features) or features.shape[1] != dim:
+                fail(lineno, f"frames must be a non-empty list of rows of dim={dim} numbers")
+            if not np.all(np.isfinite(features)):  # JSON NaN, Infinity or an overflowing literal
+                fail(lineno, "key 'frames' must hold finite numbers")
+            speaker = rec["speaker"]
+            if not (0 <= speaker < len(speakers)):
+                fail(lineno, f"speaker label {speaker} outside table of {len(speakers)}")
+            transcript = rec["transcript"]
+            if transcript is not None:
+                if any(type(t) is not int for t in transcript):
+                    fail(lineno, "transcript tokens must be integers")
+                try:
+                    transcript = validate_target(transcript, len(vocab), len(features))
+                except ValueError as e:
+                    fail(lineno, f"key 'transcript': {e}")
+            utts.append(Utterance(rec["id"], speaker, transcript, features))
     if not utts:
         raise ValueError(f"{path}: no utterance records after the header")
     return Dataset(utts, list(vocab), list(speakers))

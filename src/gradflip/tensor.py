@@ -405,11 +405,14 @@ def backward(loss: Tensor, wrt):
                 g = grads.pop(id(node), None)
                 if g is not None:
                     node._backward(g, grads)
+
+    def grad(t: Tensor) -> np.ndarray:
+        # zeros only for a tensor the loss never reached
+        return grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+
     if isinstance(wrt, ParamStore):
-        return {
-            name: grads.get(id(t), np.zeros_like(t.data)) for name, t, _ in wrt.items()
-        }
-    return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+        return {name: grad(t) for name, t, _ in wrt.items()}
+    return [grad(t) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,11 @@ def test_gen_data_rerun_identical_bytes(mini, tmp_path):
 
 def test_gen_data_refuses_overwrite_without_force(mini):
     cfg_path, data_dir, _ = mini
+    before = {p.name: p.read_bytes() for p in data_dir.iterdir()}
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 2
     assert main(["gen-data", "--config", str(cfg_path), "--out", str(data_dir), "--force"]) == 0
+    # the files are replaced by their own bytes, with no temporary file left beside them
+    assert {p.name: p.read_bytes() for p in data_dir.iterdir()} == before
 
 
 def test_gen_data_validation_error_exit_2(tmp_path):

@@ -1,4 +1,8 @@
 import hashlib
+import json
+import os
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,80 @@ def test_separability_guard_trips_on_noisy_config():
 def test_alphabet_too_large_for_dim():
     with pytest.raises(ValueError, match="not representable"):
         gd.generate(small_cfg(alphabet_size=8, dim=6))
+
+
+# generate() before it drew each token's noise in one call: one (dim,)
+# draw per frame; kept as the oracle of its draws and their order
+def generate_frame_loop_oracle(cfg):
+    n_tokens = cfg.alphabet_size + 1
+    rng = RngStream(cfg.seed, "gen")
+    prototypes, complement = gd._draw_bases(cfg, rng)
+    comp_dim = cfg.dim - n_tokens
+    in_span_scale = cfg.offset_scale * (gd.IN_SPAN_FRACTION if comp_dim else 1.0)
+    total_speakers = cfg.n_speakers + cfg.semi_speakers
+    offsets = np.zeros((total_speakers, cfg.dim))
+    gains = np.zeros((total_speakers, cfg.dim))
+    for s in range(total_speakers):
+        offsets[s] = prototypes.T @ rng.normal(0.0, in_span_scale, n_tokens)
+        if comp_dim:
+            offsets[s] += complement @ rng.normal(0.0, cfg.offset_scale, comp_dim)
+        gains[s] = rng.uniform(cfg.gain_range[0], cfg.gain_range[1], cfg.dim)
+    utterances = []
+    for s in range(total_speakers):
+        for u in range(cfg.utterances_per_speaker):
+            n_words = int(rng.integers(*cfg.words_per_utterance))
+            tokens = []
+            for w in range(n_words):
+                if w:
+                    tokens.append(cfg.alphabet_size)
+                tokens.extend(gd._draw_word(rng, cfg.alphabet_size, *cfg.letters_per_word))
+            frames = []
+            for tok in tokens:
+                reps = int(rng.integers(*cfg.frames_per_token))
+                base = prototypes[tok] * gains[s] + offsets[s]
+                for _ in range(reps):
+                    noise = rng.normal(0.0, cfg.noise_sigma, cfg.dim) if cfg.noise_sigma > 0 else 0.0
+                    frames.append(base + noise)
+            transcript = tuple(tokens) if s < cfg.n_speakers else None
+            utterances.append(Utterance(f"spk{s:03d}-u{u:04d}", s, transcript, np.asarray(frames, dtype=np.float64)))
+    speakers = [f"spk{s:03d}" for s in range(total_speakers)]
+    return Dataset(utterances, gd._letter_names(cfg.alphabet_size) + ["|"], speakers)
+
+
+@st.composite
+def gen_configs(draw):
+    alphabet = draw(st.integers(1, 5))
+    lo = lambda top: draw(st.integers(1, top))
+    fpt, wpu = lo(3), lo(3)
+    lpw = lo(1 if alphabet == 1 else 3)
+    return GenConfig(
+        n_speakers=draw(st.integers(1, 3)),
+        utterances_per_speaker=draw(st.integers(1, 3)),
+        alphabet_size=alphabet,
+        dim=alphabet + 1 + draw(st.integers(0, 3)),
+        frames_per_token=(fpt, fpt + draw(st.integers(0, 3))),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        words_per_utterance=(wpu, wpu + draw(st.integers(0, 2))),
+        letters_per_word=(lpw, lpw + (0 if alphabet == 1 else draw(st.integers(0, 2)))),
+        semi_speakers=draw(st.integers(0, 2)),
+        offset_scale=draw(st.sampled_from([0.5, 1.0, 3.0])),
+        gain_range=draw(st.sampled_from([(1.0, 1.0), (0.7, 1.3)])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=gen_configs())
+def test_generate_draws_the_per_frame_normals_in_order(cfg):
+    try:
+        ds = gd.generate(cfg)
+    except ValueError as e:  # the separability guard; the oracle has none
+        assume("not separable" not in str(e))
+        raise
+    want = generate_frame_loop_oracle(cfg)
+    assert gd.datasets_equal(ds, want)
+    for got, old in zip(ds.utterances, want.utterances):  # bytes tell 0.0 from -0.0
+        assert got.features.dtype == old.features.dtype and got.features.tobytes() == old.features.tobytes()
 
 
 # --- split ---
@@ -330,8 +408,6 @@ def test_tampered_arity_names_line(tmp_path):
     path = tmp_path / "ds.txt"
     gd.save_dataset(ds, path)
     lines = path.read_text().splitlines()
-    import json
-
     rec = json.loads(lines[3])
     rec["frames"][0] = rec["frames"][0][:-1]
     lines[3] = json.dumps(rec, sort_keys=True)
@@ -349,6 +425,170 @@ def test_malformed_json_names_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="line 3"):
         gd.load_dataset(path)
+
+
+# load_dataset before it streamed: the whole text read, then split by
+# str.splitlines(); kept as the oracle of its messages and line numbers
+def load_dataset_oracle(path):
+    text = Path(path).read_text().splitlines()
+    if not text:
+        raise ValueError(f"{path}: empty dataset file")
+
+    def fail(lineno, msg):
+        raise ValueError(f"{path}: line {lineno}: {msg}")
+
+    try:
+        header = json.loads(text[0])
+    except json.JSONDecodeError as e:
+        fail(1, f"bad header: {e}")
+    gd.check_keys(f"{path}: line 1: header", header, gd.HEADER_KEYS)
+    if header["format_version"] != gd.FILE_VERSION:
+        fail(1, f"unsupported format version {header['format_version']}")
+    dim, vocab, speakers = header["dim"], header["vocab"], header["speakers"]
+    utts = []
+    for lineno, line in enumerate(text[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            fail(lineno, f"bad record: {e}")
+        gd.check_keys(f"{path}: line {lineno}: record", rec, gd.RECORD_KEYS)
+        try:
+            features = np.asarray(rec["frames"], dtype=np.float64)
+        except (TypeError, ValueError):
+            features = None
+        if features is None or features.ndim != 2 or not len(features) or features.shape[1] != dim:
+            fail(lineno, f"frames must be a non-empty list of rows of dim={dim} numbers")
+        if not np.all(np.isfinite(features)):
+            fail(lineno, "key 'frames' must hold finite numbers")
+        speaker = rec["speaker"]
+        if not (0 <= speaker < len(speakers)):
+            fail(lineno, f"speaker label {speaker} outside table of {len(speakers)}")
+        transcript = rec["transcript"]
+        if transcript is not None:
+            if any(type(t) is not int for t in transcript):
+                fail(lineno, "transcript tokens must be integers")
+            try:
+                transcript = gd.validate_target(transcript, len(vocab), len(features))
+            except ValueError as e:
+                fail(lineno, f"key 'transcript': {e}")
+        utts.append(Utterance(rec["id"], speaker, transcript, features))
+    if not utts:
+        raise ValueError(f"{path}: no utterance records after the header")
+    return Dataset(utts, list(vocab), list(speakers))
+
+
+def _mutations(text):
+    """(name, text) pairs: a saved file changed in the ways a hand-edited,
+    truncated or foreign file can differ from what save_dataset writes."""
+    lines = text.splitlines()
+    header, recs = lines[0], lines[1:]
+    first_id = json.loads(recs[0])["id"]
+    raw = lambda ch: text.replace(f'"{first_id}"', f'"{first_id[:3]}{ch}{first_id[3:]}"', 1)
+    return [
+        ("as saved", text),
+        ("empty", ""),
+        ("only a newline", "\n"),
+        ("header only", header + "\n"),
+        ("header, no newline", header),
+        ("blank lines", "\n".join([header, "", recs[0], "", "", *recs[1:], "", ""]) + "\n"),
+        ("whitespace lines", "\n".join([header, " \t", recs[0], "   ", *recs[1:], "\t"]) + "\n \n"),
+        ("leading blank line", "\n" + text),
+        ("crlf", text.replace("\n", "\r\n")),
+        ("cr", text.replace("\n", "\r")),
+        ("mixed endings", "\r\n".join(lines[:3]) + "\r" + "\n".join(lines[3:])),
+        ("no final newline", text[:-1]),
+        ("truncated record", "\n".join([header, recs[0], recs[1][: len(recs[1]) // 2]]) + "\n"),
+        ("truncated at end", text[: len(text) - len(recs[-1]) // 2]),
+        ("form feed, then a truncated record", text[: len(text) - len(recs[-1]) // 2].replace("\n", "\f\n", 1)),
+        ("bad header json", "{" + text),
+        ("header not an object", "[]\n" + "\n".join(recs) + "\n"),
+        ("header version", text.replace('"format_version": 1', '"format_version": 2', 1)),
+        ("header missing key", text.replace('"dim": ', '"dims": ', 1)),
+        ("record not an object", "\n".join([header, recs[0], "17", *recs[1:]]) + "\n"),
+        ("u2028 in an id", raw("\u2028")),
+        ("u2029 in an id", raw("\u2029")),
+        ("u0085 in an id", raw("\x85")),
+        ("form feed after a record", text.replace("\n", "\f\n", 2)),
+        ("vertical tab after a record", text.replace("\n", "\x0b\n", 2)),
+        ("file separator in a record", raw("\x1c")),
+    ]
+
+
+def test_loader_matches_the_whole_text_loader_on_mutated_files(tmp_path):
+    ds = gd.generate(small_cfg(semi_speakers=1, utterances_per_speaker=3))
+    path = tmp_path / "ds.txt"
+    gd.save_dataset(ds, path)
+    outcomes = set()
+    for name, text in _mutations(path.read_text()):
+        path.write_text(text)
+        got, want = outcome(lambda: gd.load_dataset(path)), outcome(lambda: load_dataset_oracle(path))
+        if isinstance(want, str):
+            assert got == want, name
+        else:
+            assert isinstance(got, Dataset) and gd.datasets_equal(got, want), name
+        outcomes.add(type(want))
+    assert outcomes == {str, Dataset}
+
+
+def _traced(f):
+    """f()'s result, the memory traced when it returned, and the peak,
+    both counted from the traced memory before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - before
+
+
+@pytest.fixture(scope="module")
+def big_dataset():
+    return gd.generate(small_cfg(utterances_per_speaker=50, dim=16, frames_per_token=(3, 6)))
+
+
+def test_save_dataset_holds_a_fraction_of_the_file(big_dataset, tmp_path):
+    path = tmp_path / "ds.txt"
+    _, _, peak = _traced(lambda: gd.save_dataset(big_dataset, path))
+    size = path.stat().st_size
+    assert size >= 2_000_000
+    assert peak < 0.25 * size, f"save_dataset peaked at {peak / size:.2f}x the file"
+
+
+def test_load_dataset_holds_a_fraction_of_the_file_beyond_its_result(big_dataset, tmp_path):
+    path = tmp_path / "ds.txt"
+    gd.save_dataset(big_dataset, path)
+    size = path.stat().st_size
+    assert size >= 2_000_000
+    loaded, kept, peak = _traced(lambda: gd.load_dataset(path))
+    assert gd.datasets_equal(loaded, big_dataset)
+    assert peak - kept < 0.25 * size, f"load_dataset peaked at {(peak - kept) / size:.2f}x the file above its result"
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "ds.txt"
+    gd.save_dataset(gd.generate(small_cfg()), path)
+    previous = path.read_bytes()
+    dumps, records = json.dumps, []
+
+    def failing(obj, **kw):
+        if "frames" in obj:
+            records.append(obj["id"])
+            if len(records) == 5:
+                raise RuntimeError("encoder failed")
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(gd.json, "dumps", failing)
+    for target in (path, tmp_path / "new.txt"):
+        records.clear()
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            gd.save_dataset(gd.generate(small_cfg(semi_speakers=1)), target)
+        assert len(records) == 5
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["ds.txt"]
 
 
 def test_label_density_preserved_through_compositions():

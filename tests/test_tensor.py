@@ -75,6 +75,36 @@ def test_backward_untouched_parameter_gets_zero():
     assert grads["b"] == pytest.approx([0.0])
 
 
+def test_backward_returns_accumulated_gradients_and_zeros_only_for_absent_ones(monkeypatch):
+    store = tz.ParamStore()
+    a = store.add("a", tz.Tensor(np.array([2.0, 3.0])), "main")
+    b = store.add("b", tz.Tensor(np.ones((2, 3))), "speaker")
+    c = store.add("c", tz.Tensor(np.array([1.5, -1.0])), "main")
+    loss = lambda: tz.sum_reduce(tz.add(tz.mul(a, a), tz.mul(a, c)))  # a reached twice, b never
+    accumulated, acc = {}, tz._acc
+
+    def spy(grads, t, val):
+        acc(grads, t, val)
+        accumulated[id(t)] = grads.get(id(t))
+
+    zeros, zeros_like = [], np.zeros_like
+
+    def counted(arr, *args, **kwargs):
+        zeros.append(arr.shape)
+        return zeros_like(arr, *args, **kwargs)
+
+    monkeypatch.setattr(tz, "_acc", spy)
+    monkeypatch.setattr(np, "zeros_like", counted)
+    by_name = tz.backward(loss(), store)
+    assert by_name["a"] is accumulated[id(a)] and by_name["c"] is accumulated[id(c)]
+    np.testing.assert_array_equal(by_name["a"], [5.5, 5.0])
+    np.testing.assert_array_equal(by_name["c"], [2.0, 3.0])
+    assert by_name["b"].shape == (2, 3) and by_name["b"].dtype == np.float64 and not by_name["b"].any()
+    in_order = tz.backward(loss(), [b, c])
+    assert in_order[1] is accumulated[id(c)] and in_order[0].shape == (2, 3) and not in_order[0].any()
+    assert zeros == [(2, 3), (2, 3)]  # one zero array per call, for b alone
+
+
 def test_backward_composite_matches_finite_differences():
     # random 3-layer composite: matmul -> sigmoid -> matmul -> logsumexp
     w1 = RNG.normal(size=(3, 4))
