@@ -6,9 +6,10 @@
                       --data runs/data/synth.train --out runs/probe
     gradflip eval     --checkpoint runs/al-out/best.ckpt --data runs/data/synth.dev --out runs/eval
 
-Every config key is overridable as `--key=value`. Exit codes: 0 success,
-2 validation error, 3 numeric divergence in training or numeric overflow
-in any command.
+Every config key is overridable after the command as `--key=value` or
+`--key value`, spelled in full. Exit codes: 0 success, 2 validation
+error, 3 numeric divergence in training or numeric overflow in any
+command.
 """
 
 from __future__ import annotations
@@ -27,33 +28,9 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
 
-def _split_overrides(extras: list[str]) -> dict[str, str]:
-    """Leftover args of the form --key=value or --key value."""
-    out: dict[str, str] = {}
-    i = 0
-    while i < len(extras):
-        tok = extras[i]
-        if not tok.startswith("--"):
-            raise ValueError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, _, val = body.partition("=")
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(extras):
-                raise ValueError(f"flag --{key} needs a value")
-            val = extras[i + 1]
-            i += 2
-        if key not in cf.SCHEMA:
-            raise ValueError(f"unknown config key {key!r}")
-        out[key] = val
-    return out
-
-
-def _resolve_from_args(args, extras) -> dict[str, object]:
+def _resolve_from_args(args) -> dict[str, object]:
     file_values = cf.load_config_file(args.config) if args.config else None
-    overrides = _split_overrides(extras)
+    overrides = {key: vars(args)[key] for key in cf.SCHEMA if key != "seed" and vars(args)[key] is not None}
     return cf.resolve(file_values, overrides, seed_flag=args.seed)
 
 
@@ -66,8 +43,8 @@ def _dataset_paths(data_dir: Path, name: str) -> dict[str, Path]:
     return {part: data_dir / f"{name}.{part}" for part in ("train", "dev", "test", "semi")}
 
 
-def cmd_gen_data(args, extras) -> int:
-    cfg = _resolve_from_args(args, extras)
+def cmd_gen_data(args) -> int:
+    cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
     paths = _dataset_paths(out_dir, cfg["data.name"])
     existing = [str(p) for p in paths.values() if p.exists()]
@@ -98,8 +75,8 @@ def cmd_gen_data(args, extras) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, extras) -> int:
-    cfg = _resolve_from_args(args, extras)
+def cmd_train(args) -> int:
+    cfg = _resolve_from_args(args)
     if args.mode:
         cfg["train.mode"] = args.mode
     mode = cfg["train.mode"]
@@ -165,8 +142,8 @@ def _parse_checkpoint_list(spec: str) -> dict[str, Path]:
     return out
 
 
-def cmd_probe(args, extras) -> int:
-    cfg = _resolve_from_args(args, extras)
+def cmd_probe(args) -> int:
+    cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
     checkpoints = _parse_checkpoint_list(args.checkpoints)
     _echo_resolved(cfg, out_dir)
@@ -199,8 +176,8 @@ def cmd_probe(args, extras) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, extras) -> int:
-    cfg = _resolve_from_args(args, extras)
+def cmd_eval(args) -> int:
+    cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
     ckpt = Path(args.checkpoint)
     _echo_resolved(cfg, out_dir)
@@ -226,34 +203,37 @@ def cmd_eval(args, extras) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gradflip", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gradflip", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", default=None, help="config document (key = value lines)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
+        for key in cf.SCHEMA:  # every other config key, as --key=value or --key value
+            if key != "seed":
+                p.add_argument(f"--{key}", dest=key, default=None, help=argparse.SUPPRESS)
 
-    p = sub.add_parser("gen-data", help="generate the synthetic dataset files")
+    p = sub.add_parser("gen-data", allow_abbrev=False, help="generate the synthetic dataset files")
     common(p)
     p.add_argument("--force", action="store_true", help="overwrite existing dataset files")
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train one experiment cell")
+    p = sub.add_parser("train", allow_abbrev=False, help="train one experiment cell")
     common(p)
     p.add_argument("--data", default=None, help="directory holding the dataset files")
     p.add_argument("--mode", choices=tr.MODES, default=None)
     p.add_argument("--fork", choices=("in", "mid", "out"), default=None)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("probe", help="speaker-probe checkpoints at given layers")
+    p = sub.add_parser("probe", allow_abbrev=False, help="speaker-probe checkpoints at given layers")
     common(p)
     p.add_argument("--checkpoints", required=True, help="name=path[,name=path...]")
     p.add_argument("--layers", default="in,mid,out", help="labels or integer layer indices")
     p.add_argument("--data", required=True, help="dataset file to dump representations from")
     p.set_defaults(fn=cmd_probe)
 
-    p = sub.add_parser("eval", help="LER/WER of a checkpoint on dataset files")
+    p = sub.add_parser("eval", allow_abbrev=False, help="LER/WER of a checkpoint on dataset files")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="dataset file, or comma-separated files")
@@ -264,11 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_VALIDATION if e.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args, extras)
+        return args.fn(args)
     except (ValueError, OSError) as e:  # OSError: an input path that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -171,26 +171,22 @@ def _run_stack(m: ModelGraph, x: Tensor, upto: int, rngs, start: int = 0, packin
     return h
 
 
-def forward(
-    m: ModelGraph, xs, factor: float = 0.0, rngs=None,
-    acoustic: bool = True, speaker: bool = True, encoder_grad: bool = True,
-):
+def forward(m: ModelGraph, xs, factor: float = 0.0, rngs=None, acoustic: bool = True, speaker: bool = True):
     """The model's one forward pass: the inputs packed into one batch, then
     (packing, emissions, speaker logits), emissions (sum T_b) x K and logits
     B x S, each None unless asked for.
 
     rngs selects train mode: one dropout stream per utterance; None is eval
     mode. The encoder below the fork runs once, so gradients from both heads
-    accumulate on the same nodes. With encoder_grad False the encoder and
-    head record no tape.
+    accumulate on the same nodes. Inside `m.params.frozen(("speaker",))`
+    the encoder and head record no tape.
     """
     x, packing = _pack(m, xs)
-    with tz.no_grad(not encoder_grad):
-        r_fork = _run_stack(m, x, m.cfg.fork_layer, rngs, packing=packing)
-        emissions = None
-        if acoustic:
-            h = _run_stack(m, r_fork, m.cfg.n_layers, rngs, m.cfg.fork_layer, packing)
-            emissions = m.out.forward(h)
+    r_fork = _run_stack(m, x, m.cfg.fork_layer, rngs, packing=packing)
+    emissions = None
+    if acoustic:
+        h = _run_stack(m, r_fork, m.cfg.n_layers, rngs, m.cfg.fork_layer, packing)
+        emissions = m.out.forward(h)
     logits = None
     if speaker:
         logits = m.branch.forward(grad_scale(r_fork, factor), _layer_rngs(rngs, "spk"), packing)

@@ -14,6 +14,7 @@ deterministic.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,23 +33,15 @@ class NumericOverflow(ArithmeticError):
 _grad_enabled = True
 
 
-class no_grad:
-    """Disables graph recording inside a with-block (inference mode);
-    `no_grad(False)` leaves recording as it is."""
-
-    def __init__(self, active: bool = True):
-        self.active = active
-
-    def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        if self.active:
-            _grad_enabled = False
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
-        return False
+@contextlib.contextmanager
+def no_grad():
+    """Disables graph recording inside a with-block (inference mode)."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _check_finite(op: str, arr: np.ndarray) -> None:
@@ -459,23 +452,30 @@ class ParamStore:
         for name, t, _ in self.items():
             np.copyto(t.data, snap[name])
 
+    @contextlib.contextmanager
+    def frozen(self, groups: tuple[str, ...]):
+        """Inside the block only parameters of `groups` are gradient-tracked:
+        the others record no tape and `sgd_step` leaves them alone. Each
+        parameter's previous tracking comes back on exit, also on an error."""
+        saved = [(t, t.grad_tracked) for t, _ in self._entries.values()]
+        for t, group in self._entries.values():
+            t.grad_tracked = t.grad_tracked and group in groups
+        try:
+            yield
+        finally:
+            for t, tracked in saved:
+                t.grad_tracked = tracked
 
-def sgd_step(
-    params: ParamStore,
-    grads: dict[str, np.ndarray],
-    lr_main: float,
-    lr_speaker: float,
-    groups: tuple[str, ...] = PARAM_GROUPS,
-) -> None:
+
+def sgd_step(params: ParamStore, grads: dict[str, np.ndarray], lr_main: float, lr_speaker: float) -> None:
     """Plain SGD, w <- w - lr(group) * g, in deterministic name order.
 
-    `groups` restricts which parameter groups are updated (phase B of
-    training updates only `speaker`).
+    Untracked parameters are left alone, so inside `params.frozen(groups)`
+    only those groups are updated (phase B of training updates `speaker`).
     """
     for name, t, group in params.items():
         if name not in grads:
             raise ValueError(f"sgd_step: missing gradient for parameter '{name}'")
-        if group not in groups:
-            continue
-        lr = lr_main if group == "main" else lr_speaker
-        np.subtract(t.data, lr * grads[name], out=t.data)
+        if t.grad_tracked:
+            lr = lr_main if group == "main" else lr_speaker
+            np.subtract(t.data, lr * grads[name], out=t.data)

@@ -11,8 +11,8 @@ Training runs in three phases:
 
   A: junction factor pinned to 0 (no speaker gradient reaches the encoder,
      the branch still trains on detached representations),
-  B: only the `speaker` parameter group is updated, so a step
-     differentiates only the speaker loss,
+  B: `main` is frozen (`ParamStore.frozen`): it records no tape and takes
+     no update, so a step differentiates only the speaker loss,
   C: joint training with the scheduled lambda.
 
 `train` walks the rows of `epoch_plan`, one (phase, lambda, updated groups)
@@ -148,17 +148,14 @@ def _junction_factor(mode: str, lam: float) -> float:
     return 0.0
 
 
-def _batch_losses(
-    m: ModelGraph, batch: list[Utterance], mode: str, lam: float, rng: RngStream | None,
-    main_grad: bool = True,
-):
+def _batch_losses(m: ModelGraph, batch: list[Utterance], mode: str, lam: float, rng: RngStream | None):
     """The batch's mean acoustic loss and mean speaker loss as tape scalars,
     each None when the batch does not compute it (the speaker loss in
     baseline, the acoustic loss on speaker-only batches). The batch runs
     packed, as one train-mode forward pass whose dropout masks come from
-    children of rng, so rng may not be None. With main_grad False (nothing
-    in `main` is updated) the encoder, output head and ASG record no tape;
-    the acoustic loss is then only logged."""
+    children of rng, so rng may not be None. Inside
+    `m.params.frozen(("speaker",))` the encoder, output head and ASG record
+    no tape, and the acoustic loss is only logged."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not batch:
@@ -176,14 +173,13 @@ def _batch_losses(
     rngs = [rng.child(f"u{i}") for i in range(len(batch))]
     packing, em, logits = gm.forward(
         m, [u.features for u in batch], _junction_factor(mode, lam), rngs,
-        acoustic=not speaker_only, speaker=mode != "baseline", encoder_grad=main_grad,
+        acoustic=not speaker_only, speaker=mode != "baseline",
     )
     scale = 1.0 / len(batch)
     ac = sp = None
     if em is not None:
-        with tz.no_grad(not main_grad):
-            losses = asg.asg_losses(em, m.transitions, [u.transcript for u in batch], packing)
-            ac = tz.smul(tz.sum_reduce(losses), scale)
+        losses = asg.asg_losses(em, m.transitions, [u.transcript for u in batch], packing)
+        ac = tz.smul(tz.sum_reduce(losses), scale)
     if logits is not None:
         sp = tz.smul(tz.sum_reduce(gm.speaker_nlls(logits, [u.speaker for u in batch])), scale)
     return ac, sp
@@ -227,18 +223,19 @@ def step(
 ):
     """One SGD step on a batch; returns (acoustic_loss, speaker_loss).
 
-    A step is one objective, acoustic loss + speaker loss, differentiated
-    with one backward pass. The acoustic loss reaches only the `main`
-    group, so a step that leaves `main` alone (phase B) differentiates
-    only the speaker loss.
+    A step is one objective, the sum of the losses that reach a parameter
+    of `update_groups`, differentiated with one backward pass. The other
+    groups are frozen for the step, so they record no tape and take no
+    update: phase B, which leaves `main` alone, differentiates only the
+    speaker loss.
     """
-    ac, sp = _batch_losses(m, batch, mode, lam, rng, main_grad="main" in update_groups)
-    if ac is not None and sp is not None and "main" in update_groups:
-        objective = tz.add(ac, sp)
-    else:  # one loss only, or phase B, where the acoustic loss reaches no updated group
-        objective = ac if sp is None else sp
-    grads = tz.backward(objective, m.params)
-    tz.sgd_step(m.params, grads, lr_main, lr_speaker, groups=update_groups)
+    with m.params.frozen(update_groups):
+        ac, sp = _batch_losses(m, batch, mode, lam, rng)
+        losses = [loss for loss in (ac, sp) if loss is not None]
+        # when neither loss reaches an updated parameter, either one stands in
+        tracked = [loss for loss in losses if loss.grad_tracked] or losses[:1]
+        objective = tracked[0] if len(tracked) == 1 else tz.add(*tracked)
+        tz.sgd_step(m.params, tz.backward(objective, m.params), lr_main, lr_speaker)
     return _value(ac), _value(sp)
 
 

@@ -115,6 +115,35 @@ def test_unknown_config_key_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key,value", [("gen.noise_sigma", "0.2"), ("train.lambda_value", "-0.5")])
+def test_both_override_forms_write_the_same_resolved_config(tmp_path, key, value):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINI_CFG)
+    resolved = []
+    for name, form in (("joined", [f"--{key}={value}"]), ("split", [f"--{key}", value])):
+        out = tmp_path / name
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)] + form) == 0
+        resolved.append((out / "config.resolved").read_bytes())
+    assert resolved[0] == resolved[1]
+    assert f"\n{key} = {value}\n" in resolved[0].decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-data", "--out", "{d}", "--probe.epoch=3"],  # a prefix of probe.epochs
+        ["gen-data", "--out", "{d}", "--probe.epoch", "3"],
+        ["--gen.dim=3", "gen-data", "--out", "{d}"],  # a key before the command
+        ["gen-data", "--out", "{d}", "--data.name", "--x"],  # a value that reads as a flag
+    ],
+    ids=["prefix-joined", "prefix-split", "before-command", "flag-value"],
+)
+def test_override_keys_are_exact_and_follow_the_command(tmp_path, argv):
+    out = tmp_path / "d"
+    assert main([arg.format(d=out) for arg in argv]) == 2
+    assert not out.exists()
+
+
 def test_train_baseline_writes_cell(mini):
     cfg_path, data_dir, tmp = mini
     out = tmp / "runs"

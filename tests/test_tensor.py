@@ -254,6 +254,55 @@ def test_sgd_missing_gradient_errors():
         tz.sgd_step(store, {}, 1.4, 0.1)
 
 
+def _two_group_store():
+    store = tz.ParamStore()
+    for name, group in (("a", "main"), ("b", "main"), ("s", "speaker")):
+        store.add(name, tz.Tensor(np.array([1.0, -2.0])), group)
+    store.get("b").grad_tracked = False  # a previous value other than True
+    return store
+
+
+def _tracking(store):
+    return {name: t.grad_tracked for name, t, _ in store.items()}
+
+
+def test_frozen_restores_tracking_after_the_block_raises():
+    store = _two_group_store()
+    before = _tracking(store)
+    with pytest.raises(RuntimeError, match="inside"):
+        with store.frozen(("speaker",)):
+            assert _tracking(store) == {"a": False, "b": False, "s": True}
+            raise RuntimeError("inside")
+    assert _tracking(store) == before
+
+
+def test_frozen_blocks_nest():
+    store = _two_group_store()
+    before = _tracking(store)
+    with store.frozen(("main",)):
+        assert _tracking(store) == {"a": True, "b": False, "s": False}
+        with store.frozen(("speaker",)):
+            assert _tracking(store) == {"a": False, "b": False, "s": False}
+        assert _tracking(store) == {"a": True, "b": False, "s": False}
+        with store.frozen(("main", "speaker")):
+            assert _tracking(store) == {"a": True, "b": False, "s": False}
+    assert _tracking(store) == before
+
+
+def test_sgd_step_leaves_frozen_parameters_bit_identical():
+    store = tz.ParamStore()
+    for name, group in (("a", "main"), ("s", "speaker")):
+        store.add(name, tz.Tensor(np.array([0.3, -1.7])), group)
+    frozen_bytes = store.get("a").data.tobytes()
+    grads = {"a": np.array([1.0, 2.0]), "s": np.array([1.0, 2.0])}
+    with store.frozen(("speaker",)):
+        tz.sgd_step(store, grads, lr_main=1.4, lr_speaker=0.1)
+        with pytest.raises(ValueError, match="missing gradient for parameter 'a'"):
+            tz.sgd_step(store, {"s": grads["s"]}, 1.4, 0.1)
+    assert store.get("a").data.tobytes() == frozen_bytes
+    np.testing.assert_array_equal(store.get("s").data, np.array([0.3, -1.7]) - 0.1 * grads["s"])
+
+
 def test_param_store_rejects_duplicates_and_bad_groups():
     store = tz.ParamStore()
     store.add("w", tz.Tensor([1.0]), "main")
