@@ -7,9 +7,10 @@
     gradflip eval     --checkpoint runs/al-out/best.ckpt --data runs/data/synth.dev --out runs/eval
 
 Every config key is overridable after the command as `--key=value` or
-`--key value`, spelled in full. Exit codes: 0 success, 2 validation
-error, 3 numeric divergence in training or numeric overflow in any
-command.
+`--key value`, spelled in full (`train` also reads `--mode`, `--fork`).
+A command checks every setting it uses before it writes a file. Exit
+codes: 0 success, 2 validation error, 3 numeric divergence in training
+or numeric overflow in any command.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ def _dataset_paths(data_dir: Path, name: str) -> dict[str, Path]:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve_from_args(args)
+    gen_cfg = cf.gen_config(cfg)
     out_dir = Path(args.out)
     paths = _dataset_paths(out_dir, cfg["data.name"])
     existing = [str(p) for p in paths.values() if p.exists()]
     if existing and not args.force:
         raise ValueError(f"refusing to overwrite {existing[0]} (use --force)")
-    _echo_resolved(cfg, out_dir)
-    full = gd.generate(cf.gen_config(cfg))
-    main_ds, semi_ds = gd.partition_semi(full)
+    main_ds, semi_ds = gd.partition_semi(gd.generate(gen_cfg))
     train_ds, dev_ds, test_ds = gd.split(main_ds, cfg["gen.train_frac"], cfg["gen.dev_frac"], cfg["seed"])
+    _echo_resolved(cfg, out_dir)
     counts = {}
     for part, ds in (("train", train_ds), ("dev", dev_ds), ("test", test_ds)):
         gd.save_dataset(ds, paths[part])
@@ -77,16 +78,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_from_args(args)
-    if args.mode:
-        cfg["train.mode"] = args.mode
-    mode = cfg["train.mode"]
-    if mode not in tr.MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if args.fork:
-        if mode == "baseline":
-            raise ValueError("baseline mode takes no fork")
-        cfg["train.fork"] = args.fork
-
+    train_cfg = cf.train_config(cfg)  # checks mode, lambda schedule, batch size and epochs
+    mode = train_cfg.mode
     data_dir = Path(args.data or cfg["data.dir"] or ".")
     paths = _dataset_paths(data_dir, cfg["data.name"])
     train_ds = gd.load_dataset(paths["train"])
@@ -107,15 +100,16 @@ def cmd_train(args) -> int:
                 f"{paths['train']}'s {train_ds.vocab} and {train_ds.dim}"
             )
 
+    n_speakers = len(train_ds.speakers) + (len(semi_ds.speakers) if semi_ds else 0)
+    mcfg = cf.model_config(cfg, train_ds.dim, len(train_ds.vocab), n_speakers)  # checks the fork label
+    if mode == "baseline" and vars(args)["train.fork"] is not None:
+        raise ValueError("baseline mode takes no fork")
+    m = gm.build_model(mcfg, cfg["seed"])
     cell = mode if mode == "baseline" else f"{mode}-{cfg['train.fork']}"
     out_dir = Path(args.out) / cell
     _echo_resolved(cfg, out_dir)
-
-    n_speakers = len(train_ds.speakers) + (len(semi_ds.speakers) if semi_ds else 0)
-    mcfg = cf.model_config(cfg, train_ds.dim, len(train_ds.vocab), n_speakers)
-    m = gm.build_model(mcfg, cfg["seed"])
     try:
-        result = tr.train(m, train_ds, dev_ds, cf.train_config(cfg), out_dir, semi_ds=semi_ds)
+        result = tr.train(m, train_ds, dev_ds, train_cfg, out_dir, semi_ds=semi_ds)
     except tr.DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -146,7 +140,6 @@ def cmd_probe(args) -> int:
     cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
     checkpoints = _parse_checkpoint_list(args.checkpoints)
-    _echo_resolved(cfg, out_dir)
     dataset = gd.load_dataset(args.data)
     labels = [s for s in args.layers.split(",") if s]
 
@@ -170,6 +163,7 @@ def cmd_probe(args) -> int:
         report = analysis.figure2_report({name: m}, layer_map, dataset, cfg["probe.epochs"], cfg["seed"])
         cells += report[:-1]
     cells.append(report[-1])  # each report ends with the same chance row; the file keeps one
+    _echo_resolved(cfg, out_dir)
     out_path = out_dir / "probe.csv"
     analysis.write_probe_csv(cells, out_path)
     print(f"wrote {out_path}")
@@ -180,7 +174,6 @@ def cmd_eval(args) -> int:
     cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
     ckpt = Path(args.checkpoint)
-    _echo_resolved(cfg, out_dir)
     m = gm.load_checkpoint(ckpt)
     rows = []
     for path_str in args.data.split(","):
@@ -196,6 +189,7 @@ def cmd_eval(args) -> int:
         rows += [(split_name, metric, r.value, r.n_scored) for metric, r in results.items()]
         if results["ler"].n_skipped:
             print(f"{split_name}: skipped {results['ler'].n_skipped} untranscribed utterances")
+    _echo_resolved(cfg, out_dir)
     out_path = out_dir / "eval.csv"
     analysis.write_eval_csv(rows, out_path)
     print(f"wrote {out_path}")
@@ -206,12 +200,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gradflip", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, short: dict[str, str] | None = None):
         p.add_argument("--config", default=None, help="config document (key = value lines)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         for key in cf.SCHEMA:  # every other config key, as --key=value or --key value
-            if key != "seed":
+            if key in (short or {}):  # also spelled without its group: --mode is --train.mode
+                name = key.partition(".")[2]
+                p.add_argument(f"--{key}", f"--{name}", dest=key, metavar=name.upper(), help=short[key])
+            elif key != "seed":
                 p.add_argument(f"--{key}", dest=key, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("gen-data", allow_abbrev=False, help="generate the synthetic dataset files")
@@ -220,10 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", allow_abbrev=False, help="train one experiment cell")
-    common(p)
+    common(p, short={"train.mode": "/".join(tr.MODES), "train.fork": "in/mid/out"})
     p.add_argument("--data", default=None, help="directory holding the dataset files")
-    p.add_argument("--mode", choices=tr.MODES, default=None)
-    p.add_argument("--fork", choices=("in", "mid", "out"), default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("probe", allow_abbrev=False, help="speaker-probe checkpoints at given layers")

@@ -3,8 +3,8 @@
 A config document is plain text, one `key = value` per line, `#` comments
 allowed. Every key can also be set on the command line as `--key=value`.
 The fully resolved configuration is echoed to `<outdir>/config.resolved`
-before any work, and rerunning from that file reproduces the outputs
-byte for byte.
+once every setting has passed its check, and rerunning from that file
+reproduces the outputs byte for byte.
 
 `SCHEMA` is the only place a preset value is written: it holds the
 desk-scale toy preset (5 gated-conv layers of 16 channels over an

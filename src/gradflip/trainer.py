@@ -96,6 +96,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if min(self.epochs_a, self.epochs_b, self.epochs_c) < 0:
             raise ValueError("phase epoch counts must be >= 0")
+        if self.semi_ratio < 0:
+            raise ValueError(f"semi_ratio must be >= 0 (0: auto), got {self.semi_ratio}")
 
     def schedule(self) -> LambdaSchedule:
         return self.lam

@@ -180,18 +180,73 @@ def test_train_bogus_fork_key_exit_2(mini, capsys, mode):
     assert "fork label must be in/mid/out" in capsys.readouterr().err
 
 
-def test_train_al_cell_directory(mini):
+@pytest.mark.parametrize(
+    "cell_flags", [["--mode", "al", "--fork", "out"], ["--train.mode=al", "--train.fork", "out"]],
+    ids=["short", "full"],
+)
+def test_train_al_cell_directory(mini, cell_flags):
     cfg_path, data_dir, tmp = mini
     out = tmp / "runs"
-    rc = main(
-        ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(out),
-         "--mode", "al", "--fork", "out"]
-    )
+    rc = main(["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(out), *cell_flags])
     assert rc == 0
     assert (out / "al-out" / "metrics.csv").exists()
     resolved = (out / "al-out" / "config.resolved").read_text()
     assert "train.mode = al" in resolved
     assert "train.fork = out" in resolved
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """Mini data with its finished baseline and al-mid cells."""
+    root = tmp_path_factory.mktemp("finished")
+    (root / "cfg.txt").write_text(MINI_CFG)
+    assert main(["gen-data", "--config", str(root / "cfg.txt"), "--out", str(root / "data")]) == 0
+    for cell in (["--mode", "baseline"], ["--mode", "al", "--fork", "mid"]):
+        argv = ["train", "--config", str(root / "cfg.txt"), "--data", str(root / "data"), "--out", str(root / "runs")]
+        assert main(argv + cell) == 0
+    return root
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "finished-out"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train", "--mode", "al", "--train.batch_size=0"], "batch_size must be positive"),
+        (["train", "--mode", "al", "--train.lambda_kind=bogus"], "train.lambda_kind must be auto/static/ramp"),
+        (["train", "--mode", "al", "--model.kernel_width=4"], "kernel_width must be odd"),
+        (["train", "--mode", "baseline", "--fork", "in"], "baseline mode takes no fork"),
+        (["train", "--mode", "baseline", "--train.fork=in"], "baseline mode takes no fork"),
+        (["train", "--mode", "semi", "--fork", "in", "--train.semi_ratio=-1"], "semi_ratio must be >= 0"),
+        (["gen-data", "--force", "--gen.n_speakers=0"], "n_speakers must be positive"),
+        (["probe", "--probe.epochs=-1"], "probe epochs must be >= 0"),
+    ],
+    ids=[
+        "batch-size", "lambda-kind", "kernel-width", "baseline-fork", "baseline-train-fork", "semi-ratio",
+        "gen-n-speakers", "probe-epochs",
+    ],
+)
+def test_rejected_setting_leaves_out_as_it_was(finished, tmp_path, capsys, argv, message, existing):
+    # a finished al-mid or baseline cell, or the data directory, keeps every
+    # byte of its config.resolved and outputs
+    command, *flags = argv
+    out = (finished / ("data" if command == "gen-data" else "runs")) if existing else tmp_path / "out"
+    before = _tree(out) if existing else None
+    inputs = {
+        "gen-data": [],
+        "train": ["--data", str(finished / "data")],
+        "probe": ["--checkpoints", f"al={finished}/runs/al-mid/final.ckpt", "--data", f"{finished}/data/synth.train"],
+    }[command]
+    rc = main([command, "--config", str(finished / "cfg.txt"), *inputs, "--out", str(out), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    if existing:
+        assert _tree(out) == before
+    else:
+        assert not out.exists()
 
 
 def test_train_semi_requires_semi_file(mini, tmp_path):
