@@ -209,10 +209,6 @@ def asg_loss(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> T
     return asg_losses(emissions, transitions, [target], Packing((emissions.shape[0],)), (1, 1))
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def _max_sweep(em: np.ndarray, tr: np.ndarray):
     """The max-plus form of `_sweep`, em (B, T, K), with backpointers
     back[t, b, i], the source j of state i:
@@ -249,22 +245,22 @@ def viterbi(em: np.ndarray, tr: np.ndarray, packing: Packing) -> list[np.ndarray
     return [p[:n] for p, n in zip(paths, packing.lengths)]
 
 
-def viterbi_decode(emissions, transitions) -> np.ndarray:
+def viterbi_decode(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     """Best-scoring token path under the full graph (max replaces logadd).
 
     Ties resolve to the lowest token index at every step, so decoding is
     deterministic.
     """
-    em = _as_array(emissions)
+    em = np.asarray(emissions, dtype=np.float64)
     if em.shape[0] < 1:
         raise ValueError("viterbi_decode: need at least one frame")
-    return viterbi(em, _as_array(transitions), Packing((em.shape[0],)))[0]
+    return viterbi(em, np.asarray(transitions, dtype=np.float64), Packing((em.shape[0],)))[0]
 
 
-def path_score(emissions, transitions, path: Sequence[int]) -> float:
+def path_score(emissions: np.ndarray, transitions: np.ndarray, path: Sequence[int]) -> float:
     """Score of one frame path: emissions along it plus transition hops."""
-    em = _as_array(emissions)
-    tr = _as_array(transitions)
+    em = np.asarray(emissions, dtype=np.float64)
+    tr = np.asarray(transitions, dtype=np.float64)
     toks = [int(p) for p in path]
     total = em[0, toks[0]]
     for t in range(1, len(toks)):

@@ -80,8 +80,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_from_args(args)
     train_cfg = cf.train_config(cfg)  # checks mode, lambda schedule, batch size and epochs
     mode = train_cfg.mode
-    data_dir = Path(args.data or cfg["data.dir"] or ".")
-    paths = _dataset_paths(data_dir, cfg["data.name"])
+    paths = _dataset_paths(Path(args.data), cfg["data.name"])
     train_ds = gd.load_dataset(paths["train"])
     dev_ds = gd.load_dataset(paths["dev"])
     untranscribed = [u.id for u in dev_ds.utterances if u.transcript is None]
@@ -218,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", allow_abbrev=False, help="train one experiment cell")
     common(p, short={"train.mode": "/".join(tr.MODES), "train.fork": "in/mid/out"})
-    p.add_argument("--data", default=None, help="directory holding the dataset files")
+    p.add_argument("--data", default=".", help="directory holding the dataset files")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("probe", allow_abbrev=False, help="speaker-probe checkpoints at given layers")

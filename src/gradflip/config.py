@@ -35,7 +35,6 @@ SEED_ENV_VAR = "GRADFLIP_SEED"
 # key -> default; the default's type drives coercion
 SCHEMA: dict[str, object] = {
     "seed": 1234,
-    "data.dir": "",
     "data.name": "synth",
     "gen.n_speakers": 12,
     "gen.utterances_per_speaker": 63,
@@ -72,11 +71,11 @@ SCHEMA: dict[str, object] = {
     "train.epochs_a": 5,
     "train.epochs_b": 2,
     "train.epochs_c": 15,
-    "train.lambda_kind": "auto",  # auto: static lambda_value for mt, ramp to lambda_max otherwise
+    # mt runs lambda_value as given, sign included; al and semi ramp
+    # from 0 toward lambda_max, which, like lambda_gamma, must be >= 0
     "train.lambda_value": 0.5,
     "train.lambda_max": 0.2,
     "train.lambda_gamma": 10.0,
-    "train.semi_ratio": 0,  # 0: matched to the dataset-size proportion
     "probe.epochs": 10,
 }
 
@@ -175,14 +174,10 @@ def model_config(cfg: dict[str, object], in_dim: int, vocab_size: int, n_speaker
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    kind = cfg["train.lambda_kind"]
-    if kind == "auto":
-        kind = "static" if cfg["train.mode"] == "mt" else "ramp"
-    elif kind not in ("static", "ramp"):
-        raise ValueError(f"train.lambda_kind must be auto/static/ramp, got {kind!r}")
-    lam = LambdaSchedule(
-        kind, cfg["train.lambda_value"], cfg["train.lambda_max"], cfg["train.lambda_gamma"]
-    )
+    # the mode picks the schedule: mt a static lambda_value, al and semi
+    # the ramp to lambda_max (Ganin & Lempitsky, arXiv:1409.7495)
+    kind = "static" if cfg["train.mode"] == "mt" else "ramp"
+    lam = LambdaSchedule(kind, cfg["train.lambda_value"], cfg["train.lambda_max"], cfg["train.lambda_gamma"])
     return TrainConfig(
         mode=cfg["train.mode"],
         lr_main=cfg["train.lr_main"],
@@ -192,6 +187,5 @@ def train_config(cfg: dict[str, object]) -> TrainConfig:
         epochs_b=cfg["train.epochs_b"],
         epochs_c=cfg["train.epochs_c"],
         lam=lam,
-        semi_ratio=cfg["train.semi_ratio"],
         seed=cfg["seed"],
     )

@@ -264,6 +264,20 @@ def _init_uniform(rng: RngStream, fan_in: int, kernel_width: int, shape) -> np.n
     return rng.uniform(-bound, bound, shape)
 
 
+def _weight_normed(store: tz.ParamStore, prefix: str, group: str, v: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """Register `prefix`.v, .g and .b in `group`: the direction v, the
+    column norms g (so the normalized weight initially equals v) and a
+    zero bias, one per column of v."""
+    norms = np.sqrt((v * v).sum(axis=0))
+    if np.any(norms == 0.0):
+        raise ValueError(f"{prefix}: zero-norm weight column at initialization")
+    return (
+        store.add(f"{prefix}.v", Tensor(v), group),
+        store.add(f"{prefix}.g", Tensor(norms), group),
+        store.add(f"{prefix}.b", Tensor(np.zeros(v.shape[1])), group),
+    )
+
+
 class GatedConv:
     """Weight-normalized conv1d -> GLU -> inverted dropout block.
 
@@ -303,13 +317,7 @@ class GatedConv:
         v = math.sqrt(1.0 - dropout_rate) * _init_uniform(
             rng, in_channels, kernel_width, (kernel_width * in_channels, 2 * out_channels)
         )
-        norms = np.sqrt((v * v).sum(axis=0))
-        if np.any(norms == 0.0):
-            raise ValueError(f"{prefix}: zero-norm weight column at initialization")
-        self.v = store.add(f"{prefix}.v", Tensor(v), group)
-        # g starts at ||v|| so the normalized weight initially equals v
-        self.g = store.add(f"{prefix}.g", Tensor(norms), group)
-        self.b = store.add(f"{prefix}.b", Tensor(np.zeros(2 * out_channels)), group)
+        self.v, self.g, self.b = _weight_normed(store, prefix, group, v)
 
     def forward(self, x: Tensor, rngs=None, packing: Packing | None = None) -> Tensor:
         """rngs as for `dropout`: one stream per utterance in train mode,
@@ -332,12 +340,7 @@ class Linear:
         rng: RngStream,
     ):
         v = _init_uniform(rng, in_features, 1, (in_features, out_features))
-        norms = np.sqrt((v * v).sum(axis=0))
-        if np.any(norms == 0.0):
-            raise ValueError(f"{prefix}: zero-norm weight column at initialization")
-        self.v = store.add(f"{prefix}.v", Tensor(v), group)
-        self.g = store.add(f"{prefix}.g", Tensor(norms), group)
-        self.b = store.add(f"{prefix}.b", Tensor(np.zeros(out_features)), group)
+        self.v, self.g, self.b = _weight_normed(store, prefix, group, v)
 
     def forward(self, x: Tensor) -> Tensor:
         """Rows of x (N x in_features) mapped to N x out_features."""

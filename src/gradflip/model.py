@@ -143,19 +143,15 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelGraph:
 
 
 def _pack(m: ModelGraph, xs) -> tuple[Tensor, Packing]:
-    """Stack utterances' frames along time; a lone tensor is kept as is,
-    so gradients still reach it. Shapes are checked per utterance,
-    finiteness once, on the packed frames."""
-    arrs = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64) for x in xs]
+    """Stack utterances' frames (arrays) along time. Shapes are checked per
+    utterance, finiteness once, on the packed frames."""
+    arrs = [np.asarray(x, dtype=np.float64) for x in xs]
     for x in arrs:
         if x.ndim != 2 or x.shape[1] != m.cfg.in_dim:
             raise tz.ShapeMismatch(f"input must be T x {m.cfg.in_dim}, got {x.shape}")
         if x.shape[0] < 1:
             raise tz.ShapeMismatch("input must contain at least one frame")
-    packing = Packing([len(x) for x in arrs])
-    if len(arrs) == 1 and isinstance(xs[0], Tensor):
-        return xs[0], packing
-    return Tensor(np.concatenate(arrs)), packing
+    return Tensor(np.concatenate(arrs)), Packing([len(x) for x in arrs])
 
 
 def _layer_rngs(rngs, label: str):

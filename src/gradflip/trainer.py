@@ -60,6 +60,8 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.kind not in ("static", "ramp"):
             raise ValueError(f"schedule kind must be static or ramp, got {self.kind!r}")
+        if self.lambda_max < 0 or self.gamma < 0:  # a negative ramp flips al's junction into mt's
+            raise ValueError(f"lambda_max and lambda_gamma must be >= 0, got {self.lambda_max} and {self.gamma}")
 
 
 def lambda_at(sched: LambdaSchedule, epoch: int, total_epochs: int) -> float:
@@ -86,7 +88,6 @@ class TrainConfig:
     epochs_b: int
     epochs_c: int
     lam: LambdaSchedule
-    semi_ratio: int  # transcribed batches per speaker-only batch; 0 = auto
     seed: int
 
     def __post_init__(self):
@@ -96,8 +97,6 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if min(self.epochs_a, self.epochs_b, self.epochs_c) < 0:
             raise ValueError("phase epoch counts must be >= 0")
-        if self.semi_ratio < 0:
-            raise ValueError(f"semi_ratio must be >= 0 (0: auto), got {self.semi_ratio}")
 
     def schedule(self) -> LambdaSchedule:
         return self.lam
@@ -273,7 +272,11 @@ class TrainResult:
     best_dev_ler: float
 
 
-def _dev_metrics(m: ModelGraph, dev: Dataset) -> tuple[float, float]:
+def _dev_metrics(m: ModelGraph, dev: Dataset, mode: str) -> tuple[float, float]:
+    """Dev LER and speaker accuracy; baseline trains no speaker branch, so
+    its accuracy is nan and the branch is not run."""
+    if mode == "baseline":
+        return analysis.evaluate(m, dev, ("ler",))["ler"].value, float("nan")
     scores = analysis.evaluate(m, dev, ("ler", "speaker_acc"))
     return scores["ler"].value, scores["speaker_acc"].value
 
@@ -300,7 +303,8 @@ def train(
             raise ValueError(
                 f"semi mode needs a model with {need} speaker outputs, got {m.cfg.n_speakers}"
             )
-        ratio = cfg.semi_ratio or max(1, round(len(train_ds.utterances) / len(semi_utts)))
+        # transcribed batches per speaker-only batch, matched to the dataset sizes
+        ratio = max(1, round(len(train_ds.utterances) / len(semi_utts)))
         cut = functools.partial(make_semi_batches, train_ds.utterances, semi_utts, ratio, cfg.batch_size)
     else:
         cut = functools.partial(shuffled_batches, train_ds.utterances, cfg.batch_size)
@@ -338,7 +342,7 @@ def train(
                 f"acoustic loss {ac_mean} out of range at epoch {epoch} (phase {phase})"
             )
 
-        dev_ler, dev_acc = _dev_metrics(m, dev_ds)
+        dev_ler, dev_acc = _dev_metrics(m, dev_ds, cfg.mode)
         wall = time.perf_counter() - t0
         rows.append(MetricsRow(epoch, phase, ac_mean, sp_mean, dev_ler, dev_acc, lam, wall))
         if dev_ler < best_ler:

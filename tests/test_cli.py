@@ -211,22 +211,34 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def test_baseline_writes_nan_speaker_columns(finished):
+    # baseline trains and scores no speaker branch
+    rows = [line.split(",") for line in (finished / "runs/baseline/metrics.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert [(row[3], row[5]) for row in rows] == [("nan", "nan")] * 3
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "finished-out"])
 @pytest.mark.parametrize(
     "argv,message",
     [
         (["train", "--mode", "al", "--train.batch_size=0"], "batch_size must be positive"),
-        (["train", "--mode", "al", "--train.lambda_kind=bogus"], "train.lambda_kind must be auto/static/ramp"),
+        (["train", "--mode", "al", "--train.lambda_max=-0.2"], "lambda_max and lambda_gamma must be >= 0"),
+        (["train", "--mode", "al", "--train.lambda_gamma=-1"], "lambda_max and lambda_gamma must be >= 0"),
         (["train", "--mode", "al", "--model.kernel_width=4"], "kernel_width must be odd"),
         (["train", "--mode", "baseline", "--fork", "in"], "baseline mode takes no fork"),
         (["train", "--mode", "baseline", "--train.fork=in"], "baseline mode takes no fork"),
-        (["train", "--mode", "semi", "--fork", "in", "--train.semi_ratio=-1"], "semi_ratio must be >= 0"),
         (["gen-data", "--force", "--gen.n_speakers=0"], "n_speakers must be positive"),
         (["probe", "--probe.epochs=-1"], "probe epochs must be >= 0"),
+        # removed keys: the mode picks the lambda schedule, the dataset sizes
+        # the semi interleave, and --data the dataset directory
+        (["train", "--mode", "al", "--train.lambda_kind=static"], "unrecognized arguments: --train.lambda_kind"),
+        (["train", "--mode", "al", "--train.semi_ratio=2"], "unrecognized arguments: --train.semi_ratio"),
+        (["train", "--mode", "al", "--data.dir=x"], "unrecognized arguments: --data.dir"),
     ],
     ids=[
-        "batch-size", "lambda-kind", "kernel-width", "baseline-fork", "baseline-train-fork", "semi-ratio",
-        "gen-n-speakers", "probe-epochs",
+        "batch-size", "lambda-max", "lambda-gamma", "kernel-width", "baseline-fork", "baseline-train-fork",
+        "gen-n-speakers", "probe-epochs", "unknown-lambda-kind", "unknown-semi-ratio", "unknown-data-dir",
     ],
 )
 def test_rejected_setting_leaves_out_as_it_was(finished, tmp_path, capsys, argv, message, existing):
@@ -247,6 +259,20 @@ def test_rejected_setting_leaves_out_as_it_was(finished, tmp_path, capsys, argv,
         assert _tree(out) == before
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("train.lambda_kind", "static"), ("train.semi_ratio", "2"), ("data.dir", "x")])
+def test_removed_key_in_config_file_is_unknown(finished, tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(MINI_CFG + f"{key} = {value}\n")
+    lineno = len(cfg_path.read_text().splitlines())
+    out = finished / "runs"
+    before = _tree(out)
+    argv = ["train", "--config", str(cfg_path), "--data", str(finished / "data"), "--out", str(out),
+            "--mode", "al", "--fork", "mid"]
+    assert main(argv) == 2
+    assert f"error: {cfg_path}: line {lineno}: unknown config key {key!r}" in capsys.readouterr().err
+    assert _tree(out) == before
 
 
 def test_train_semi_requires_semi_file(mini, tmp_path):
@@ -497,30 +523,30 @@ def test_config_resolved_reproduces_run(mini, tmp_path):
 # keep every digest; a change that moves outputs on purpose re-pins them
 # and says why.
 PIPELINE_SHA256 = {
-    "data/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "data/config.resolved": "b7926e76308bdc684d44b08fc695ac5a66703eceae88323efdc7a36c6b9a2c44",
     "data/manifest.json": "66589d15e6b1a875a70713675c62188b9c5c3d40b5a15100f04e38fad198ec57",
     "data/synth.dev": "5f313053a56fcf65866c161eee14f9a65522ec162e3c181a4765a587c120a23f",
     "data/synth.semi": "76013ec85ae22de02a18854d08da4b425d3f916281fb528d8ee53cac39bc3d8f",
     "data/synth.test": "e3143ff9971ec240f252d3120e7786d31b2dbe7d43b453cda732c0b1b3e94cfa",
     "data/synth.train": "54ae08c5ca9547c7093fd8255f04730571547c30b71b8e1cea5c2bce4bbd0139",
-    "eval/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "eval/config.resolved": "b7926e76308bdc684d44b08fc695ac5a66703eceae88323efdc7a36c6b9a2c44",
     "eval/eval.csv": "d79f40dff2b74c875991ea76df793de623da07f9c118bed1ed692e8d66439b61",
-    "probe/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "probe/config.resolved": "b7926e76308bdc684d44b08fc695ac5a66703eceae88323efdc7a36c6b9a2c44",
     "probe/probe.csv": "0c710ecc14b0951bece789dbbfc29176ebd2e6e8557463f4f67877ff3d9a0757",
     "runs/al-mid/best.ckpt": "f82da0ccbf8418591b04255fea1f822bdc0f28ee5badbd191fba0244034a8cfb",
-    "runs/al-mid/config.resolved": "6e34f59747ed4d1b2bee6c3709a42d425b42fd346fb3f38a805e5ba8f745e3e4",
+    "runs/al-mid/config.resolved": "f3261f8433a66ff4d644a136d5559f3edb04a3ce9f7fff9e06303bb1dde55778",
     "runs/al-mid/final.ckpt": "f82da0ccbf8418591b04255fea1f822bdc0f28ee5badbd191fba0244034a8cfb",
     "runs/al-mid/metrics.csv": "f90fbb65708d61b74244e8bf1e2af4e04042a2f6be1495c1b4feccd78efb57d3",
     "runs/baseline/best.ckpt": "9b1531e82b6756566c43a4fac69642be27695968793c1f41bda1f8fabe00598b",
-    "runs/baseline/config.resolved": "4d921b0d8a2f297810805ac0b804cc3c7b014d8fd35f9a795baab2fa674ef68d",
+    "runs/baseline/config.resolved": "b7926e76308bdc684d44b08fc695ac5a66703eceae88323efdc7a36c6b9a2c44",
     "runs/baseline/final.ckpt": "9b1531e82b6756566c43a4fac69642be27695968793c1f41bda1f8fabe00598b",
-    "runs/baseline/metrics.csv": "8a43e32958a88dc46a56064b6548ac4b40e6c48a38c97adf1e1e1b598b747197",
+    "runs/baseline/metrics.csv": "5171f20ad1ba963b5364248607fb77f21d4dd167155804a6fbfeee156bbcd6c0",
     "runs/mt-mid/best.ckpt": "36b360fa238fa734198c50c3b09e84d2b2dba112561517fdbd3f816a50e614bc",
-    "runs/mt-mid/config.resolved": "ec0bbe6fe2840652ed9e748f33de41953117e2d234a75990bca6bca83b0db6bf",
+    "runs/mt-mid/config.resolved": "290f2494d8e25d3808a17318e067857a3a86e521eb976ac9b8e2ca32de8e8507",
     "runs/mt-mid/final.ckpt": "36b360fa238fa734198c50c3b09e84d2b2dba112561517fdbd3f816a50e614bc",
     "runs/mt-mid/metrics.csv": "2927336211fbef39b019708dffcc40134bd15278822e21989dde83231f68f8e0",
     "runs/semi-in/best.ckpt": "cb1cbf50ee00f3f70b99f5dbe2c8462cd8be455c15b6364b10e4ff614343684b",
-    "runs/semi-in/config.resolved": "4cdc035d2e7e11d4418b6e4313a2523e987c4066928e7d6aa2c495a2f712eb4d",
+    "runs/semi-in/config.resolved": "f631f7a3bdfecc6ad25fa352b0567c5c434abc1be3031fdcf3ac302904c6f4db",
     "runs/semi-in/final.ckpt": "cb1cbf50ee00f3f70b99f5dbe2c8462cd8be455c15b6364b10e4ff614343684b",
     "runs/semi-in/metrics.csv": "e02b36883a4c47a9ba51e91e682cf6298947e8958013186c436496817a016e77",
 }

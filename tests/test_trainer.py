@@ -80,8 +80,16 @@ def test_ramp_monotone():
     assert all(0.0 <= v <= s.lambda_max for v in vals)
 
 
+def test_schedule_rejects_a_negative_ramp():
+    # a negative ceiling or steepness would give al a multi-task junction
+    for lambda_max, gamma in ((-0.2, 10.0), (0.2, -1.0)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            LambdaSchedule("ramp", 0.5, lambda_max, gamma)
+    assert LambdaSchedule("static", -0.5, 0.0, 0.0).value == -0.5
+
+
 def test_default_schedules_by_mode():
-    # train.lambda_kind = auto: static lambda_value for mt, a ramp to
+    # the mode picks the schedule: static lambda_value for mt, a ramp to
     # lambda_max for al and semi, all taken from the configured values
     cfg = {**cf.SCHEMA, "train.lambda_value": 0.7, "train.lambda_max": 0.9, "train.lambda_gamma": 3.0}
     assert cf.train_config({**cfg, "train.mode": "mt"}).schedule() == LambdaSchedule("static", 0.7, 0.9, 3.0)
@@ -326,7 +334,7 @@ def test_dev_metrics_run_one_forward_per_pack(monkeypatch):
         monkeypatch.setattr(gm, "EVAL_FRAMES", budget)
         want = two_pass_dev_metrics(m, dev)
         monkeypatch.setattr(gm, "forward", spy)
-        got = tr._dev_metrics(m, dev)
+        got = tr._dev_metrics(m, dev, "al")
         monkeypatch.setattr(gm, "forward", forward)
         packs = gm.chunks(dev.utterances, [len(u.features) for u in dev.utterances])
         assert calls == [len(p) for p in packs], budget
