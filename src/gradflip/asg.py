@@ -10,12 +10,13 @@ Each score is the log-add over the paths of a state graph. The full
 graph's states are the K tokens, the constrained graph's the N target
 positions joined by stay and move edges. Targets have no adjacent
 duplicates (no repetition tokens are used). The loss of a packed batch
-(`layers.Packing`), `asg_losses`, is one tape node: one numpy forward-backward recursion
-runs over both graphs of every utterance, padded to a common length and
-state count. The alpha pass gives the scores, the beta pass the state
-and edge posteriors that are their gradients. Viterbi decoding (`viterbi`)
-runs its own max-plus loop over the same padded batch. A lone utterance is
-the batch of one.
+(`layers.Packing`), `asg_losses`, is one tape node. Both graphs of every
+utterance, padded to a common length and state count, run through one
+forward-backward routine, `_forward_backward`: its alpha pass gives the
+scores, and its beta pass, run only for a backward, the state and edge
+posteriors that are their gradients. Viterbi decoding (`viterbi`) runs
+its own max-plus loop over the same padded batch. A lone utterance is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -64,36 +65,53 @@ def _padded(frames: np.ndarray, packing: Packing) -> np.ndarray:
     return np.concatenate([frames, np.full((1,) + frames.shape[1:], -np.inf)])[packing.grid()]
 
 
-def _sweep(em: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """Forward recursion over the full graph of each utterance, em (B, T, K):
+def _forward_backward(f: np.ndarray, start, end, final: np.ndarray, into, out_of, edge_grads):
+    """One state graph over a padded batch, f (B, T, S) the frame score of
+    each state, -inf past frame final[b] so that no path runs into the
+    padding. Paths start in the states where `start` holds and end at frame
+    final[b] in the states whose log weight `end` is 0 rather than -inf:
 
-        alpha_t(i) = em_t(i) + logadd_j(alpha_{t-1}(j) + tr(j, i))"""
-    alpha = np.empty_like(em)
-    alpha[:, 0] = em[:, 0]
-    for t in range(1, em.shape[1]):
-        cand = alpha[:, t - 1, :, None] + tr  # cand[b, j, i]: arrive at i from j
-        alpha[:, t] = em[:, t] + _logsumexp(cand, axis=1)
-    return alpha
+        alpha_t = f_t + into(alpha_{t-1}),   beta_{t-1} = out_of(f_t + beta_t)
+
+    with beta `end` from frame final[b] on. Returns log Z (B,) and a function
+    of the per-utterance upstream gradient that runs the beta pass and hands
+    the scaled state posteriors, alpha_{t-1} and f_t + beta_t - log Z to
+    `edge_grads`, the graph's gradient formula.
+    """
+    alpha = np.empty_like(f)
+    alpha[:, 0] = np.where(start, f[:, 0], -np.inf)
+    for t in range(1, f.shape[1]):
+        alpha[:, t] = f[:, t] + into(alpha[:, t - 1])
+    log_z = _logsumexp(alpha[np.arange(len(final)), final] + end, axis=1)
+
+    def grads(scale):
+        beta = np.empty_like(f)
+        beta[:, -1] = end
+        for t in range(f.shape[1] - 1, 0, -1):
+            beta[:, t - 1] = np.where((t - 1 >= final)[:, None], end, out_of(f[:, t] + beta[:, t]))
+        z, scale = log_z[:, None, None], scale[:, None, None]
+        states = np.exp(alpha + beta - z) * scale
+        return edge_grads(states, alpha[:, :-1], f[:, 1:] + beta[:, 1:] - z, scale)
+
+    return log_z, grads
 
 
 def _full_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray):
     """Log-add score of all paths of each utterance, em (B, T, K) padded with
-    -inf past frame final[b]. Returns the scores (B,) and a function of the
-    per-utterance upstream gradient giving the gradients of em and tr."""
-    alpha = _sweep(em, tr)
-    log_z = _logsumexp(alpha[np.arange(len(final)), final], axis=1)
+    -inf past frame final[b]; a path starts and ends at any token. Returns
+    the scores (B,) and a function of the per-utterance upstream gradient
+    giving the gradients of em and tr."""
 
-    def grads(scale):
-        beta = np.zeros_like(em)
-        for t in range(em.shape[1] - 1, 0, -1):
-            into = _logsumexp(tr + (em[:, t] + beta[:, t])[:, None, :], axis=2)
-            beta[:, t - 1] = np.where((t - 1 >= final)[:, None], 0.0, into)
-        z, scale = log_z[:, None, None], scale[:, None, None]
-        states = np.exp(alpha + beta - z) * scale
-        edges = np.exp(alpha[:, :-1, :, None] + tr + (em[:, 1:] + beta[:, 1:] - z)[:, :, None, :])
+    def edge_grads(states, before, ahead, scale):
+        edges = np.exp(before[:, :, :, None] + tr + ahead[:, :, None, :])
         return states, (edges * scale[:, None]).sum(axis=(0, 1))
 
-    return log_z, grads
+    return _forward_backward(
+        em, True, 0.0, final,
+        lambda a: _logsumexp(a[:, :, None] + tr, axis=1),  # [b, j, i]: arrive at i from j
+        lambda ahead: _logsumexp(tr + ahead[:, None, :], axis=2),
+        edge_grads,
+    )
 
 
 def _target_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray, targets):
@@ -106,67 +124,48 @@ def _target_graph(em: np.ndarray, tr: np.ndarray, final: np.ndarray, targets):
         alpha_t(n) = f_t(y_n) + logadd(alpha_{t-1}(n)   + g(y_n, y_n),
                                        alpha_{t-1}(n-1) + g(y_{n-1}, y_n))
 
-    Paths start at position 1 and end at position N. Targets are padded to
-    the longest with positions no edge reaches, whose alpha stays -inf.
+    Paths start at position 1 and end at position N. Targets are padded
+    with positions no edge reaches, whose alpha and beta stay -inf, to one
+    past the longest. That last column is a wall: position 1's predecessor
+    and position N_max's successor.
     """
     k = em.shape[2]
     ys = [validate_target(y, k, n + 1) for y, n in zip(targets, final)]
     n_pos = np.array([len(y) for y in ys])[:, None]
-    y = np.zeros((len(ys), n_pos.max()), dtype=np.int64)
+    y = np.zeros((len(ys), n_pos.max() + 1), dtype=np.int64)
     for b, yb in enumerate(ys):
         y[b, : len(yb)] = yb
     pos = np.arange(y.shape[1])
-    y_prev = np.concatenate([y[:, :1], y[:, :-1]], axis=1)
+    prev, after = pos - 1, np.minimum(pos + 1, pos[-1])  # the wall is index -1 and its own successor
     stay = np.where(pos < n_pos, tr[y, y], -np.inf)
-    move = np.where((pos > 0) & (pos < n_pos), tr[y_prev, y], -np.inf)
+    move = np.where((pos > 0) & (pos < n_pos), tr[y[:, prev], y], -np.inf)
     f = em[np.arange(len(ys))[:, None, None], np.arange(em.shape[1])[None, :, None], y[:, None, :]]
-    end = np.where(pos == n_pos - 1, 0.0, -np.inf)
 
-    def later(a):  # a[..., n+1] at n
-        return np.concatenate([a[..., 1:], np.full(a.shape[:-1] + (1,), -np.inf)], axis=-1)
-
-    def earlier(a):  # a[..., n-1] at n
-        return np.concatenate([np.full(a.shape[:-1] + (1,), -np.inf), a[..., :-1]], axis=-1)
-
-    alpha = np.empty_like(f)
-    alpha[:, 0] = np.where(pos == 0, f[:, 0], -np.inf)
-    for t in range(1, f.shape[1]):
-        alpha[:, t] = f[:, t] + np.logaddexp(alpha[:, t - 1] + stay, earlier(alpha[:, t - 1]) + move)
-    log_z = _logsumexp(alpha[np.arange(len(ys)), final] + end, axis=1)
-
-    def grads(scale):
-        beta = np.empty_like(f)
-        beta[:, -1] = end
-        for t in range(f.shape[1] - 1, 0, -1):
-            ahead = f[:, t] + beta[:, t]
-            into = np.logaddexp(stay + ahead, later(move + ahead))
-            beta[:, t - 1] = np.where((t - 1 >= final)[:, None], end, into)
-        z, scale = log_z[:, None, None], scale[:, None, None]
-        states = np.exp(alpha + beta - z) * scale
-        ahead = f[:, 1:] + beta[:, 1:] - z
-        stays = (np.exp(alpha[:, :-1] + stay[:, None] + ahead) * scale).sum(axis=1)
-        moves = (np.exp(earlier(alpha[:, :-1]) + move[:, None] + ahead) * scale).sum(axis=1)
+    def edge_grads(states, before, ahead, scale):
+        stays = (np.exp(before + stay[:, None] + ahead) * scale).sum(axis=1)
+        moves = (np.exp(before[:, :, prev] + move[:, None] + ahead) * scale).sum(axis=1)
         # tokens repeat within a target, so several positions share a column
         rows = np.arange(f.shape[0] * f.shape[1]).reshape(f.shape[:2])
         em_grad = np.bincount((rows[:, :, None] * k + y[:, None, :]).reshape(-1), weights=states.reshape(-1),
                               minlength=em.size).reshape(em.shape)
-        tr_grad = np.bincount(np.concatenate([(y * k + y).reshape(-1), (y_prev * k + y).reshape(-1)]),
+        tr_grad = np.bincount(np.concatenate([(y * k + y).reshape(-1), (y[:, prev] * k + y).reshape(-1)]),
                               weights=np.concatenate([stays.reshape(-1), moves.reshape(-1)]), minlength=k * k)
         return em_grad, tr_grad.reshape(k, k)
 
-    return log_z, grads
+    return _forward_backward(
+        f, pos == 0, np.where(pos == n_pos - 1, 0.0, -np.inf), final,
+        lambda a: np.logaddexp(a + stay, a[:, prev] + move),
+        lambda ahead: np.logaddexp(stay + ahead, (move + ahead)[:, after]),
+        edge_grads,
+    )
 
 
 def _scores(op, emissions: Tensor, transitions: Tensor, packing: Packing, graphs, shape) -> Tensor:
     """One tape node: per utterance of a packed batch, the signed sum of its
     graph scores. `graphs` holds (sign, graph) pairs, a graph being
-    `_full_graph` or `_target_graph` with the targets bound.
-
-    Each graph runs as one forward-backward recursion over the batch,
-    padded to its longest utterance. The alpha pass gives the scores; the
-    beta pass gives the state and edge posteriors, which are the gradients.
-    numpy stays quiet: the node's check rejects the non-finite score of a
-    diverging input.
+    `_full_graph` or `_target_graph` with the targets bound. numpy stays
+    quiet: the node's check rejects the non-finite score of a diverging
+    input.
     """
     k = emissions.shape[1]
     if transitions.shape != (k, k):
@@ -192,7 +191,7 @@ def asg_losses(emissions: Tensor, transitions: Tensor, targets, packing: Packing
 
 
 def full_logadd(emissions: Tensor, transitions: Tensor) -> Tensor:
-    """log-add score of all K^T paths: beta_t(i) = f_t(i) + logadd_j(beta_{t-1}(j) + g(j,i))."""
+    """log-add score of all K^T paths (see `_full_graph`)."""
     packing = Packing((emissions.shape[0],))
     return _scores("full_logadd", emissions, transitions, packing, [(1.0, _full_graph)], (1, 1))
 
@@ -210,8 +209,8 @@ def asg_loss(emissions: Tensor, transitions: Tensor, target: Sequence[int]) -> T
 
 
 def _max_sweep(em: np.ndarray, tr: np.ndarray):
-    """The max-plus form of `_sweep`, em (B, T, K), with backpointers
-    back[t, b, i], the source j of state i:
+    """The max-plus form of the full graph's alpha pass, em (B, T, K), with
+    backpointers back[t, b, i], the source j of state i:
 
         delta_t(i) = em_t(i) + max_j(delta_{t-1}(j) + tr(j, i))
 

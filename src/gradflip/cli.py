@@ -141,6 +141,8 @@ def cmd_probe(args) -> int:
     checkpoints = _parse_checkpoint_list(args.checkpoints)
     dataset = gd.load_dataset(args.data)
     labels = [s for s in args.layers.split(",") if s]
+    if not labels:
+        raise ValueError("--layers is empty")
 
     models = {name: gm.load_checkpoint(path) for name, path in checkpoints.items()}
     for name, path in checkpoints.items():

@@ -33,7 +33,7 @@ from gradflip.rng import RngStream
 
 __all__ = [
     "GenConfig", "Utterance", "Dataset",
-    "feature_bases", "generate", "stratified_parts", "shuffled_batches", "split", "partition_semi",
+    "generate", "stratified_parts", "shuffled_batches", "split", "partition_semi",
     "save_dataset", "load_dataset", "datasets_equal", "check_keys",
 ]
 
@@ -133,13 +133,6 @@ def _draw_bases(cfg: GenConfig, rng: RngStream) -> tuple[np.ndarray, np.ndarray]
     n_tokens = cfg.alphabet_size + 1
     q, _ = np.linalg.qr(rng.normal(size=(cfg.dim, cfg.dim)))
     return q[:, :n_tokens].T, q[:, n_tokens:]
-
-
-def feature_bases(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(prototypes, complement): orthonormal token rows and the left-over
-    directions of feature space, as drawn by generate() for this config."""
-    prototypes, complement = _draw_bases(cfg, RngStream(cfg.seed, "gen"))
-    return prototypes.copy(), complement.copy()
 
 
 def generate(cfg: GenConfig) -> Dataset:

@@ -76,11 +76,9 @@ class Packing:
     def grid(self) -> np.ndarray:
         """(B, T_max) row of frame t of utterance b; slots past an
         utterance's end read row `rows`."""
-        if "grid" not in self._cache:
-            idx = np.full((len(self), int(self.lengths.max())), self.rows)
-            idx[self.segment, self.offset] = np.arange(self.rows)
-            self._cache["grid"] = idx
-        return self._cache["grid"]
+        idx = np.full((len(self), int(self.lengths.max())), self.rows)
+        idx[self.segment, self.offset] = np.arange(self.rows)
+        return idx
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """(B, ...) sum over each utterance's rows, added in row order."""

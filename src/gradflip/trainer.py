@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if min(self.epochs_a, self.epochs_b, self.epochs_c) < 0:
             raise ValueError("phase epoch counts must be >= 0")
+        if self.epochs_a + self.epochs_b + self.epochs_c == 0:
+            raise ValueError("the phase epoch counts sum to 0: nothing would be trained")
 
     def schedule(self) -> LambdaSchedule:
         return self.lam
@@ -313,7 +315,6 @@ def train(
     dropout_rng = RngStream(cfg.seed, "train/dropout")
     rows: list[MetricsRow] = []
     best_ler = float("inf")
-    best_snap = None
 
     for epoch, (phase, lam, update_groups) in enumerate(epoch_plan(cfg), start=1):
         t0 = time.perf_counter()
@@ -355,12 +356,11 @@ def train(
         out_dir.mkdir(parents=True, exist_ok=True)
         final_path = out_dir / "final.ckpt"
         gm.save_checkpoint(m, final_path)
-        if best_snap is not None:
-            current = m.params.snapshot()
-            m.params.restore(best_snap)
-            best_path = out_dir / "best.ckpt"
-            gm.save_checkpoint(m, best_path)
-            m.params.restore(current)
+        current = m.params.snapshot()
+        m.params.restore(best_snap)  # the first dev LER, always finite, sets it
+        best_path = out_dir / "best.ckpt"
+        gm.save_checkpoint(m, best_path)
+        m.params.restore(current)
         metrics_path = out_dir / "metrics.csv"
         metrics_path.write_text(
             "\n".join([METRICS_HEADER] + [r.csv() for r in rows]) + "\n"

@@ -246,6 +246,22 @@ def test_batched_losses_match_per_utterance():
             assert abs(loss - asg.asg_loss(Tensor(block), Tensor(trs), y).item()) <= 1e-12
 
 
+def test_batched_losses_and_emission_gradients_equal_batches_of_one_bitwise():
+    # pins where a path starts and ends and what beta does past an
+    # utterance's last frame: padding an utterance into a batch moves no bit
+    for seed in range(20):
+        em, trs, targets, packing = ragged_batch(seed)
+        packed = Tensor(em, grad_tracked=True)
+        losses = asg.asg_losses(packed, Tensor(trs), targets, packing)
+        (em_grad,) = tz.backward(tz.sum_reduce(losses), [packed])
+        for b, (block, y) in enumerate(zip(packing.split(em), targets, strict=True)):
+            lone = Tensor(block, grad_tracked=True)
+            loss = asg.asg_loss(lone, Tensor(trs), y)
+            (lone_grad,) = tz.backward(loss, [lone])
+            assert loss.data.tobytes() == losses.data[b : b + 1].tobytes()
+            assert lone_grad.tobytes() == em_grad[packing.starts[b] : packing.ends[b]].tobytes()
+
+
 def test_batched_loss_gradients():
     em, trs, targets, packing = ragged_batch(11)
     # distinct weights: each utterance's posteriors carry its own upstream gradient

@@ -230,6 +230,12 @@ def test_baseline_writes_nan_speaker_columns(finished):
         (["train", "--mode", "baseline", "--train.fork=in"], "baseline mode takes no fork"),
         (["gen-data", "--force", "--gen.n_speakers=0"], "n_speakers must be positive"),
         (["probe", "--probe.epochs=-1"], "probe epochs must be >= 0"),
+        (["probe", "--layers", ""], "--layers is empty"),
+        (["probe", "--layers", ","], "--layers is empty"),
+        (
+            ["train", "--mode", "al", "--train.epochs_a=0", "--train.epochs_b=0", "--train.epochs_c=0"],
+            "the phase epoch counts sum to 0",
+        ),
         # removed keys: the mode picks the lambda schedule, the dataset sizes
         # the semi interleave, and --data the dataset directory
         (["train", "--mode", "al", "--train.lambda_kind=static"], "unrecognized arguments: --train.lambda_kind"),
@@ -238,7 +244,7 @@ def test_baseline_writes_nan_speaker_columns(finished):
     ],
     ids=[
         "batch-size", "lambda-max", "lambda-gamma", "kernel-width", "baseline-fork", "baseline-train-fork",
-        "gen-n-speakers", "probe-epochs", "unknown-lambda-kind", "unknown-semi-ratio", "unknown-data-dir",
+        "gen-n-speakers", "probe-epochs", "probe-no-layers", "probe-comma-layers", "no-epochs", "unknown-lambda-kind", "unknown-semi-ratio", "unknown-data-dir",
     ],
 )
 def test_rejected_setting_leaves_out_as_it_was(finished, tmp_path, capsys, argv, message, existing):

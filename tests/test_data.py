@@ -63,7 +63,7 @@ def test_generate_deterministic_bytes(tmp_path):
 def test_degenerate_generator_frames_equal_prototypes():
     cfg = small_cfg(n_speakers=1, noise_sigma=0.0, offset_scale=0.0, gain_range=(1.0, 1.0))
     ds = gd.generate(cfg)
-    prototypes, _ = gd.feature_bases(cfg)
+    prototypes, _ = gd._draw_bases(cfg, RngStream(cfg.seed, "gen"))
     for u in ds.utterances:
         t = 0
         for tok in u.transcript:
@@ -94,7 +94,7 @@ def test_transcripts_legal_and_short_enough():
 def test_offsets_concentrate_in_prototype_complement():
     cfg = small_cfg(n_speakers=6, dim=8)
     ds = gd.generate(cfg)
-    prototypes, complement = gd.feature_bases(cfg)
+    prototypes, complement = gd._draw_bases(cfg, RngStream(cfg.seed, "gen"))
     assert complement.shape == (8, 3)
     # recover per-speaker offsets from a noise-free, unit-gain regeneration
     quiet = gd.generate(small_cfg(n_speakers=6, dim=8, noise_sigma=0.0, gain_range=(1.0, 1.0)))
