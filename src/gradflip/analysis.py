@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from gradflip import asg, model as gm, tensor as tz
-from gradflip.data import Dataset, shuffled_batches, stratified_parts
+from gradflip.data import Dataset, shuffled_batches, stratified_parts, write_lines
 from gradflip.layers import Packing, PoolingConfig
 from gradflip.model import ModelGraph, SpeakerBranch
 from gradflip.rng import RngStream, stream_seed
@@ -293,11 +292,8 @@ def write_probe_csv(cells: list[ProbeCell], path) -> None:
     for c in cells:
         acc = "" if c.accuracy is None else repr(float(c.accuracy))
         lines.append(f"{c.variant},{c.layer_label},{acc},{c.chance!r},{c.n_eval},{c.seed}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_eval_csv(rows: list[tuple[str, str, float, int]], path) -> None:
-    lines = [EVAL_CSV_HEADER]
-    for split_name, metric, value, n in rows:
-        lines.append(f"{split_name},{metric},{value!r},{n}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, [EVAL_CSV_HEADER] + [f"{s},{metric},{value!r},{n}" for s, metric, value, n in rows])

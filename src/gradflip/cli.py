@@ -37,7 +37,7 @@ def _resolve_from_args(args) -> dict[str, object]:
 
 def _echo_resolved(cfg: dict[str, object], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text(cf.format_resolved(cfg))
+    gd.write_lines(out_dir / "config.resolved", [f"{key} = {cfg[key]}" for key in sorted(cfg)])
 
 
 def _dataset_paths(data_dir: Path, name: str) -> dict[str, Path]:
@@ -71,7 +71,7 @@ def cmd_gen_data(args) -> int:
         "dim": main_ds.dim,
         "vocab_size": len(main_ds.vocab),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    gd.write_lines(out_dir / "manifest.json", [json.dumps(manifest, sort_keys=True, indent=2)])
     print(f"wrote {len(counts)} dataset files under {out_dir}")
     return EXIT_OK
 
@@ -106,12 +106,13 @@ def cmd_train(args) -> int:
     m = gm.build_model(mcfg, cfg["seed"])
     cell = mode if mode == "baseline" else f"{mode}-{cfg['train.fork']}"
     out_dir = Path(args.out) / cell
-    _echo_resolved(cfg, out_dir)
     try:
         result = tr.train(m, train_ds, dev_ds, train_cfg, out_dir, semi_ds=semi_ds)
     except tr.DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    # echoed last: a diverged rerun leaves a finished cell's config.resolved as it was
+    _echo_resolved(cfg, out_dir)
     print(
         f"trained {cell}: best dev LER {result.best_dev_ler:.4f}; "
         f"metrics at {result.metrics_path}"
@@ -135,6 +136,15 @@ def _parse_checkpoint_list(spec: str) -> dict[str, Path]:
     return out
 
 
+def _layer_index(n_layers: int, label: str) -> int | None:
+    """The layer a --layers label names in a stack of n_layers blocks, or None."""
+    try:
+        layer = int(label) if label.lstrip("-").isdigit() else gm.resolve_fork(n_layers, label)
+    except ValueError:
+        return None
+    return layer if 0 <= layer <= n_layers else None
+
+
 def cmd_probe(args) -> int:
     cfg = _resolve_from_args(args)
     out_dir = Path(args.out)
@@ -150,18 +160,16 @@ def cmd_probe(args) -> int:
             raise ValueError(
                 f"{args.data}: dim {dataset.dim} does not match checkpoint {path}'s {models[name].cfg.in_dim}"
             )
+    # a label out of range for a checkpoint is an absent cell there, for all of them an error
+    layer_maps = {
+        name: {label: _layer_index(m.cfg.n_layers, label) for label in labels} for name, m in models.items()
+    }
+    for label in labels:
+        if all(layer_map[label] is None for layer_map in layer_maps.values()):
+            raise ValueError(f"--layers {label!r} names no layer of any checkpoint")
     cells: list[analysis.ProbeCell] = []
     for name, m in models.items():
-        layer_map: dict[str, int | None] = {}
-        for label in labels:
-            try:
-                layer = int(label) if label.lstrip("-").isdigit() else gm.resolve_fork(m.cfg.n_layers, label)
-                if not (0 <= layer <= m.cfg.n_layers):
-                    raise ValueError
-                layer_map[label] = layer
-            except ValueError:
-                layer_map[label] = None  # invalid for this model: absent cell
-        report = analysis.figure2_report({name: m}, layer_map, dataset, cfg["probe.epochs"], cfg["seed"])
+        report = analysis.figure2_report({name: m}, layer_maps[name], dataset, cfg["probe.epochs"], cfg["seed"])
         cells += report[:-1]
     cells.append(report[-1])  # each report ends with the same chance row; the file keeps one
     _echo_resolved(cfg, out_dir)

@@ -17,7 +17,6 @@ spells out every value a run used.
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 from gradflip.data import GenConfig
@@ -26,11 +25,8 @@ from gradflip.model import ModelConfig, resolve_fork
 from gradflip.trainer import LambdaSchedule, TrainConfig
 
 __all__ = [
-    "SCHEMA", "SEED_ENV_VAR", "load_config_file", "resolve", "format_resolved",
-    "gen_config", "model_config", "train_config",
+    "SCHEMA", "load_config_file", "resolve", "gen_config", "model_config", "train_config",
 ]
-
-SEED_ENV_VAR = "GRADFLIP_SEED"
 
 # key -> default; the default's type drives coercion
 SCHEMA: dict[str, object] = {
@@ -119,11 +115,8 @@ def resolve(
     overrides: dict[str, str] | None = None,
     seed_flag: int | None = None,
 ) -> dict[str, object]:
-    """Defaults < env seed < config file < --key overrides < --seed flag."""
+    """Defaults < config file < --key overrides < --seed flag."""
     cfg = dict(SCHEMA)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg["seed"] = _coerce("seed", env_seed)
     for key, val in (file_values or {}).items():
         cfg[key] = val
     for key, raw in (overrides or {}).items():
@@ -133,11 +126,6 @@ def resolve(
     if seed_flag is not None:
         cfg["seed"] = int(seed_flag)
     return cfg
-
-
-def format_resolved(cfg: dict[str, object]) -> str:
-    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
-    return "\n".join(lines) + "\n"
 
 
 def gen_config(cfg: dict[str, object]) -> GenConfig:

@@ -34,7 +34,7 @@ from gradflip.rng import RngStream
 __all__ = [
     "GenConfig", "Utterance", "Dataset",
     "generate", "stratified_parts", "shuffled_batches", "split", "partition_semi",
-    "save_dataset", "load_dataset", "datasets_equal", "check_keys",
+    "write_lines", "save_dataset", "load_dataset", "datasets_equal", "check_keys",
 ]
 
 FILE_VERSION = 1
@@ -263,32 +263,40 @@ def partition_semi(ds: Dataset) -> tuple[Dataset, Dataset | None]:
 # file format: one JSON header line, then one JSON utterance per line
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    """Write ds as one JSON header line, then one JSON utterance per line.
-
-    Each line is encoded and written on its own, so memory does not grow
-    with the file. The lines go to a temporary file in the same directory,
-    renamed over `path` once complete: a write that fails leaves any
-    previous file at `path` as it was.
-    """
-    header = {"format_version": FILE_VERSION, "dim": ds.dim, "vocab": ds.vocab, "speakers": ds.speakers}
+def write_lines(path, lines) -> None:
+    """Write each of `lines` and a newline to a temporary file beside `path`,
+    one write per line so that a generator streams, then rename it over
+    `path`: a failed write leaves any previous file there as it was. Every
+    file the package writes goes through here."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for u in ds.utterances:
-                rec = {
-                    "id": u.id,
-                    "speaker": u.speaker,
-                    "transcript": list(u.transcript) if u.transcript is not None else None,
-                    "frames": u.features.tolist(),  # shortest round-trip repr
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """Write ds as one JSON header line, then one JSON utterance per line,
+    each encoded as it is written, so memory does not grow with the file."""
+    header = {"format_version": FILE_VERSION, "dim": ds.dim, "vocab": ds.vocab, "speakers": ds.speakers}
+
+    def records():
+        yield json.dumps(header, sort_keys=True)
+        for u in ds.utterances:
+            rec = {
+                "id": u.id,
+                "speaker": u.speaker,
+                "transcript": list(u.transcript) if u.transcript is not None else None,
+                "frames": u.features.tolist(),  # shortest round-trip repr
+            }
+            yield json.dumps(rec, sort_keys=True)
+
+    write_lines(path, records())
 
 
 def load_dataset(path) -> Dataset:

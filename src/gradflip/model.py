@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from gradflip import tensor as tz
-from gradflip.data import check_keys
+from gradflip.data import check_keys, write_lines
 from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, grad_scale, pool
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore, Tensor
@@ -291,7 +291,7 @@ def save_checkpoint(m: ModelGraph, path) -> None:
             for name, t, _ in m.params.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=None) + "\n")
+    write_lines(path, [json.dumps(doc, sort_keys=True, indent=None)])
 
 
 # JSON value types of the config fields, by annotation; a float field takes an integer too

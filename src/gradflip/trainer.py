@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from gradflip import analysis, asg, model as gm, tensor as tz
-from gradflip.data import Dataset, Utterance, shuffled_batches
+from gradflip.data import Dataset, Utterance, shuffled_batches, write_lines
 from gradflip.model import ModelGraph
 from gradflip.rng import RngStream
 
@@ -362,7 +362,5 @@ def train(
         gm.save_checkpoint(m, best_path)
         m.params.restore(current)
         metrics_path = out_dir / "metrics.csv"
-        metrics_path.write_text(
-            "\n".join([METRICS_HEADER] + [r.csv() for r in rows]) + "\n"
-        )
+        write_lines(metrics_path, [METRICS_HEADER] + [r.csv() for r in rows])
     return TrainResult(rows, final_path, best_path, metrics_path, best_ler)

@@ -238,14 +238,6 @@ def ragged_batch(seed, k=4):
     return em, rng.normal(size=(k, k)), [y for _, y in RAGGED], Packing(lengths)
 
 
-def test_batched_losses_match_per_utterance():
-    for seed in range(5):
-        em, trs, targets, packing = ragged_batch(seed)
-        losses = asg.asg_losses(Tensor(em), Tensor(trs), targets, packing).data
-        for loss, block, y in zip(losses, packing.split(em), targets):
-            assert abs(loss - asg.asg_loss(Tensor(block), Tensor(trs), y).item()) <= 1e-12
-
-
 def test_batched_losses_and_emission_gradients_equal_batches_of_one_bitwise():
     # pins where a path starts and ends and what beta does past an
     # utterance's last frame: padding an utterance into a batch moves no bit

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,8 @@ def test_baseline_writes_nan_speaker_columns(finished):
         (["probe", "--probe.epochs=-1"], "probe epochs must be >= 0"),
         (["probe", "--layers", ""], "--layers is empty"),
         (["probe", "--layers", ","], "--layers is empty"),
+        (["probe", "--layers", "bogus"], "--layers 'bogus' names no layer of any checkpoint"),
+        (["probe", "--layers", "9"], "--layers '9' names no layer of any checkpoint"),
         (
             ["train", "--mode", "al", "--train.epochs_a=0", "--train.epochs_b=0", "--train.epochs_c=0"],
             "the phase epoch counts sum to 0",
@@ -244,7 +247,8 @@ def test_baseline_writes_nan_speaker_columns(finished):
     ],
     ids=[
         "batch-size", "lambda-max", "lambda-gamma", "kernel-width", "baseline-fork", "baseline-train-fork",
-        "gen-n-speakers", "probe-epochs", "probe-no-layers", "probe-comma-layers", "no-epochs", "unknown-lambda-kind", "unknown-semi-ratio", "unknown-data-dir",
+        "gen-n-speakers", "probe-epochs", "probe-no-layers", "probe-comma-layers", "probe-bogus-layer", "probe-layer-9",
+        "no-epochs", "unknown-lambda-kind", "unknown-semi-ratio", "unknown-data-dir",
     ],
 )
 def test_rejected_setting_leaves_out_as_it_was(finished, tmp_path, capsys, argv, message, existing):
@@ -335,6 +339,21 @@ def test_train_divergence_exit_3(mini):
          "--train.lr_main=500.0", "--train.epochs_a=4"]
     )
     assert rc == 3
+
+
+def test_diverged_rerun_leaves_finished_cell_as_it_was(finished, tmp_path, capsys):
+    # config.resolved is echoed only once training succeeds, so it keeps
+    # describing the checkpoints and metrics.csv beside it
+    out = tmp_path / "runs"
+    shutil.copytree(finished / "runs", out)
+    before = _tree(out)
+    rc = main(
+        ["train", "--config", str(finished / "cfg.txt"), "--data", str(finished / "data"), "--out", str(out),
+         "--mode", "baseline", "--train.lr_main=500.0", "--train.epochs_a=4"]
+    )
+    assert rc == 3
+    assert "divergence:" in capsys.readouterr().err
+    assert _tree(out) == before
 
 
 @pytest.mark.parametrize(
@@ -467,19 +486,17 @@ def test_probe_missing_checkpoint_exit_2(mini):
     assert rc == 2
 
 
-def test_probe_invalid_layer_recorded_absent(mini):
-    cfg_path, data_dir, tmp = mini
-    out = tmp / "runs"
-    assert main(
-        ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(out),
-         "--mode", "baseline"]
-    ) == 0
-    ckpt = out / "baseline" / "final.ckpt"
-    rc = main(probe_args(cfg_path, data_dir, tmp / "probe3", f"baseline={ckpt}", layers="1,9"))
-    assert rc == 0
-    lines = (tmp / "probe3" / "probe.csv").read_text().splitlines()
-    bad = [l for l in lines if l.startswith("baseline,9,")]
-    assert len(bad) == 1 and bad[0].split(",")[2] == ""
+def test_probe_invalid_layer_recorded_absent(finished, tmp_path):
+    # layer 4 exists in a 4-layer checkpoint only: the 3-layer one gets an absent cell
+    cfg_path, data_dir = finished / "cfg.txt", finished / "data"
+    argv = ["train", "--config", str(cfg_path), "--data", str(data_dir), "--out", str(tmp_path / "runs")]
+    assert main(argv + ["--mode", "baseline", "--model.n_layers=4"]) == 0
+    ckpts = f"shallow={finished}/runs/baseline/final.ckpt,deep={tmp_path}/runs/baseline/final.ckpt"
+    assert main(probe_args(cfg_path, data_dir, tmp_path / "probe", ckpts, layers="1,4")) == 0
+    rows = [line.split(",") for line in (tmp_path / "probe" / "probe.csv").read_text().splitlines()[1:]]
+    accuracy = {(row[0], row[1]): row[2] for row in rows}
+    assert accuracy[("shallow", "4")] == ""
+    assert all(accuracy[cell] for cell in [("shallow", "1"), ("deep", "1"), ("deep", "4")])
 
 
 def test_eval_rerun_byte_identical(mini):
@@ -498,11 +515,10 @@ def test_eval_rerun_byte_identical(mini):
     assert (tmp / "e1" / "eval.csv").read_bytes() == (tmp / "e2" / "eval.csv").read_bytes()
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(cf.SEED_ENV_VAR, "4242")
-    cfg = cf.resolve()
-    assert cfg["seed"] == 4242
-    # explicit file/flag values win over the environment
+def test_environment_seed_is_ignored(monkeypatch):
+    # the seed comes from the preset, a config file or a flag, never the environment
+    monkeypatch.setenv("GRADFLIP_SEED", "4242")
+    assert cf.resolve()["seed"] == cf.SCHEMA["seed"]
     assert cf.resolve(seed_flag=7)["seed"] == 7
 
 
