@@ -253,14 +253,14 @@ def evaluate_wer(m: ModelGraph, dataset: Dataset) -> EvalResult:
 class ProbeCell:
     variant: str
     layer_label: str
-    accuracy: float | None  # None: checkpoint or layer absent
+    accuracy: float | None  # None: layer absent
     chance: float
     n_eval: int
     seed: int
 
 
 def figure2_report(
-    checkpoints: dict[str, ModelGraph | None],
+    checkpoints: dict[str, ModelGraph],
     layers: dict[str, int | None],
     dataset: Dataset,
     probe_epochs: int,
@@ -268,8 +268,7 @@ def figure2_report(
 ) -> list[ProbeCell]:
     """Probe accuracy grid: one row per (variant, layer) plus a chance row.
 
-    Missing checkpoints and None layers are recorded as absent cells, not
-    failures.
+    A None layer is recorded as an absent cell, not a failure.
     """
     chance = 1.0 / len(dataset.speakers)
     # every probe holds out the same number of each speaker's utterances
@@ -278,7 +277,7 @@ def figure2_report(
     for variant, ckpt in checkpoints.items():
         for label, layer in layers.items():
             cell_seed = stream_seed(seed, f"probe/{variant}/{label}")
-            if ckpt is None or layer is None:
+            if layer is None:
                 cells.append(ProbeCell(variant, label, None, chance, 0, cell_seed))
                 continue
             acc = train_probe(dump_reps(ckpt, dataset, layer), epochs=probe_epochs, seed=cell_seed)

@@ -162,10 +162,7 @@ def model_config(cfg: dict[str, object], in_dim: int, vocab_size: int, n_speaker
 
 
 def train_config(cfg: dict[str, object]) -> TrainConfig:
-    # the mode picks the schedule: mt a static lambda_value, al and semi
-    # the ramp to lambda_max (Ganin & Lempitsky, arXiv:1409.7495)
-    kind = "static" if cfg["train.mode"] == "mt" else "ramp"
-    lam = LambdaSchedule(kind, cfg["train.lambda_value"], cfg["train.lambda_max"], cfg["train.lambda_gamma"])
+    lam = LambdaSchedule(cfg["train.lambda_value"], cfg["train.lambda_max"], cfg["train.lambda_gamma"])
     return TrainConfig(
         mode=cfg["train.mode"],
         lr_main=cfg["train.lr_main"],

@@ -21,11 +21,11 @@ import numpy as np
 
 from gradflip import tensor as tz
 from gradflip.rng import RngStream
-from gradflip.tensor import Tensor, grad_scale  # re-export: grad_scale lives on the tape
+from gradflip.tensor import Tensor
 
 __all__ = [
     "PoolingConfig", "Packing", "conv1d", "glu", "weight_norm", "dropout",
-    "pool", "grad_scale", "GatedConv", "Linear",
+    "pool", "GatedConv", "Linear",
 ]
 
 POOL_KINDS = ("sum", "max", "logsumexp")
@@ -46,7 +46,7 @@ class PoolingConfig:
 class Packing:
     """Row layout of a packed batch: B utterances stacked along time in one
     (T_1 + ... + T_B) x C array, utterance b owning rows starts[b]:ends[b].
-    A lone utterance is the batch of one."""
+    A lone utterance of T frames is the batch of one, Packing((T,))."""
 
     def __init__(self, lengths):
         self.lengths = np.asarray(lengths, dtype=np.int64)
@@ -92,9 +92,7 @@ class Packing:
         return np.split(arr, self.ends[:-1])
 
 
-def _packing(x: Tensor, packing: Packing | None) -> Packing:
-    if packing is None:
-        return Packing((x.shape[0],))
+def _check_rows(x: Tensor, packing: Packing) -> Packing:
     if packing.rows != x.shape[0]:
         raise tz.ShapeMismatch(f"packed batch of {packing.rows} rows, input has {x.shape[0]}")
     return packing
@@ -109,12 +107,10 @@ def _scatter_rows(index: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, weights=g.reshape(-1), minlength=(n + 1) * width)[: n * width].reshape(n, width)
 
 
-def conv1d(
-    x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int, packing: Packing | None = None
-) -> Tensor:
-    """Stride-1 1D convolution over a T x C_in input, zero padded so the
-    output keeps length T. Each utterance of a packed batch is convolved on
-    its own: a tap that leaves its utterance reads zeros. One tape node.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, kernel_width: int, packing: Packing) -> Tensor:
+    """Stride-1 1D convolution over a packed T x C_in input, zero padded so
+    the output keeps length T. Each utterance is convolved on its own: a
+    tap that leaves its utterance reads zeros. One tape node.
 
     weight has shape (kernel_width * C_in, C_out), rows ordered tap-major:
     row w * C_in + c is tap w (leftmost first) of input channel c.
@@ -126,7 +122,7 @@ def conv1d(
         raise tz.ShapeMismatch(
             f"conv1d: weight rows {weight.shape[0]} != kernel_width*C_in {kernel_width * c_in}"
         )
-    taps = _packing(x, packing).taps(kernel_width)
+    taps = _check_rows(x, packing).taps(kernel_width)
     padded = np.concatenate([x.data, np.zeros((1, c_in))])  # row t_len: the zeros a tap outside reads
     unfolded = padded.take(taps.reshape(-1), axis=0).reshape(t_len, kernel_width * c_in)
 
@@ -188,26 +184,24 @@ def weight_norm(v: Tensor, g: Tensor) -> Tensor:
     return tz._node(out, "weight_norm", (v, g), bw)
 
 
-def dropout(x: Tensor, rate: float, rngs=None, packing: Packing | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rngs, packing: Packing) -> Tensor:
     """Inverted dropout: surviving units scaled by 1/(1-rate).
 
-    rngs selects train mode: one RngStream per utterance of the batch (a
-    lone input is one utterance), each drawing that utterance's T_b x C
-    mask; a stream may repeat. Without streams (eval mode) this is the
-    identity.
+    rngs selects train mode: one RngStream per utterance of the batch, each
+    drawing that utterance's T_b x C mask; a stream may repeat. Without
+    streams (rngs=None, eval mode) this is the identity.
     """
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rngs is None or rate == 0.0:
         return x
-    lengths = (x.shape[0],) if packing is None else packing.lengths
-    draws = np.concatenate([r.uniform(size=(n,) + x.shape[1:]) for r, n in zip(rngs, lengths)])
+    draws = np.concatenate([r.uniform(size=(n,) + x.shape[1:]) for r, n in zip(rngs, packing.lengths)])
     return tz.mul(x, Tensor((draws >= rate) / (1.0 - rate)))
 
 
-def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tensor:
-    """Aggregate an L x C representation over time into a C-vector, or each
-    utterance of a packed batch into a row of a B x C matrix. One tape node.
+def pool(r: Tensor, cfg: PoolingConfig, packing: Packing) -> Tensor:
+    """Aggregate each utterance of a packed L x C representation over time
+    into a row of a B x C matrix. One tape node.
 
     LogSumExp pooling computes (1/tau) * log((1/L) * sum_t exp(tau * r_t));
     the max is factored out before exponentiation, which keeps it exact on
@@ -216,7 +210,7 @@ def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tenso
     """
     if r.data.ndim != 2 or r.shape[0] < 1:
         raise tz.ShapeMismatch(f"pool: input must be L x C with L >= 1, got {r.shape}")
-    seg = _packing(r, packing)
+    seg = _check_rows(r, packing)
     x, inv_len = r.data, 1.0 / seg.lengths[:, None]
     with np.errstate(all="ignore"):
         if cfg.kind == "sum":
@@ -236,7 +230,6 @@ def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tenso
         return full
 
     def bw(g, grads):
-        g = g.reshape(out.shape)
         if cfg.kind == "sum":
             g_r = g[seg.segment]
         elif cfg.kind == "max":
@@ -248,7 +241,7 @@ def pool(r: Tensor, cfg: PoolingConfig, packing: Packing | None = None) -> Tenso
             g_r = g_shift + to_top(g + _scatter_rows(seg.segment, -g_shift, len(seg)))
         tz._acc(grads, r, g_r)
 
-    return tz._node(out if packing is not None else out.reshape(r.shape[1]), "pool", (r,), bw)
+    return tz._node(out, "pool", (r,), bw)
 
 
 def _init_uniform(rng: RngStream, fan_in: int, kernel_width: int, shape) -> np.ndarray:
@@ -317,7 +310,7 @@ class GatedConv:
         )
         self.v, self.g, self.b = _weight_normed(store, prefix, group, v)
 
-    def forward(self, x: Tensor, rngs=None, packing: Packing | None = None) -> Tensor:
+    def forward(self, x: Tensor, rngs, packing: Packing) -> Tensor:
         """rngs as for `dropout`: one stream per utterance in train mode,
         None in eval mode."""
         w = weight_norm(self.v, self.g)

@@ -21,7 +21,7 @@ import numpy as np
 
 from gradflip import tensor as tz
 from gradflip.data import check_keys, write_lines
-from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, grad_scale, pool
+from gradflip.layers import GatedConv, Linear, Packing, PoolingConfig, pool
 from gradflip.rng import RngStream
 from gradflip.tensor import ParamStore, Tensor
 
@@ -160,7 +160,7 @@ def _layer_rngs(rngs, label: str):
     return None if rngs is None else [r.child(label) for r in rngs]
 
 
-def _run_stack(m: ModelGraph, x: Tensor, upto: int, rngs, start: int = 0, packing=None) -> Tensor:
+def _run_stack(m: ModelGraph, x: Tensor, packing: Packing, upto: int, rngs, start: int = 0) -> Tensor:
     h = x
     for i in range(start, upto):
         h = m.stack[i].forward(h, _layer_rngs(rngs, f"stack{i + 1}"), packing)
@@ -178,14 +178,14 @@ def forward(m: ModelGraph, xs, factor: float = 0.0, rngs=None, acoustic: bool = 
     the encoder and head record no tape.
     """
     x, packing = _pack(m, xs)
-    r_fork = _run_stack(m, x, m.cfg.fork_layer, rngs, packing=packing)
+    r_fork = _run_stack(m, x, packing, m.cfg.fork_layer, rngs)
     emissions = None
     if acoustic:
-        h = _run_stack(m, r_fork, m.cfg.n_layers, rngs, m.cfg.fork_layer, packing)
+        h = _run_stack(m, r_fork, packing, m.cfg.n_layers, rngs, m.cfg.fork_layer)
         emissions = m.out.forward(h)
     logits = None
     if speaker:
-        logits = m.branch.forward(grad_scale(r_fork, factor), _layer_rngs(rngs, "spk"), packing)
+        logits = m.branch.forward(tz.grad_scale(r_fork, factor), _layer_rngs(rngs, "spk"), packing)
     return packing, emissions, logits
 
 
@@ -252,7 +252,7 @@ def represent(m: ModelGraph, xs, layer: int) -> list[np.ndarray]:
         raise ValueError(f"layer {layer} outside [0, {m.cfg.n_layers}]")
     x, packing = _pack(m, xs)
     with tz.no_grad():
-        h = _run_stack(m, x, layer, None, packing=packing)
+        h = _run_stack(m, x, packing, layer, None)
     return [a.copy() for a in packing.split(h.data)]
 
 

@@ -52,26 +52,20 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LambdaSchedule:
-    kind: str  # static | ramp
-    value: float  # the static lambda
+    value: float  # mt's static lambda
     lambda_max: float  # the ramp's ceiling
     gamma: float  # the ramp's steepness
 
     def __post_init__(self):
-        if self.kind not in ("static", "ramp"):
-            raise ValueError(f"schedule kind must be static or ramp, got {self.kind!r}")
         if self.lambda_max < 0 or self.gamma < 0:  # a negative ramp flips al's junction into mt's
             raise ValueError(f"lambda_max and lambda_gamma must be >= 0, got {self.lambda_max} and {self.gamma}")
 
 
 def lambda_at(sched: LambdaSchedule, epoch: int, total_epochs: int) -> float:
-    """Lambda for a (0-based-ok) epoch position within the joint phase.
-
-    ramp: lambda_max * (2 / (1 + e^{-p}) - 1) with p = gamma * epoch/total,
+    """The ramp's lambda at a (0-based-ok) epoch position within the joint
+    phase: lambda_max * (2 / (1 + e^{-p}) - 1) with p = gamma * epoch/total,
     which rises from 0 to just under lambda_max.
     """
-    if sched.kind == "static":
-        return sched.value
     if total_epochs <= 0:
         return 0.0
     p = sched.gamma * (epoch / total_epochs)
@@ -132,14 +126,21 @@ class MetricsRow:
 
 def epoch_plan(cfg: TrainConfig) -> list[tuple[str, float, tuple[str, ...]]]:
     """One (phase, lambda, updated groups) row per epoch, in training order.
-    Phase C's lambda follows cfg.lam over its epochs 1..epochs_c."""
+
+    The mode picks phase C's lambda: mt runs cfg.lam.value as given, sign
+    included, and al and semi the ramp of `lambda_at` over epochs
+    1..epochs_c (Ganin & Lempitsky, arXiv:1409.7495)."""
     both = ("main", "speaker")
     if cfg.mode == "baseline":  # no speaker term: the labels stay, the rules do not
         return [(phase, 0.0, both) for phase in "A" * cfg.epochs_a + "B" * cfg.epochs_b + "C" * cfg.epochs_c]
+    if cfg.mode == "mt":
+        c_lams = [cfg.lam.value] * cfg.epochs_c
+    else:
+        c_lams = [lambda_at(cfg.lam, e, cfg.epochs_c) for e in range(1, cfg.epochs_c + 1)]
     return (
         [("A", 0.0, both)] * cfg.epochs_a
         + [("B", 0.0, ("speaker",))] * cfg.epochs_b
-        + [("C", lambda_at(cfg.lam, e, cfg.epochs_c), both) for e in range(1, cfg.epochs_c + 1)]
+        + [("C", lam, both) for lam in c_lams]
     )
 
 

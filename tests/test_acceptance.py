@@ -130,10 +130,11 @@ def test_criterion_2_gradient_suite(toy_data):
     rng = np.random.default_rng(22)
 
     checks = 0
+    lone5 = layers.Packing((5,))  # each layer input below is one 5-frame utterance
 
     def layer_losses():
         yield "conv1d", [rng.normal(size=(5, 2)), rng.normal(size=(6, 3)), rng.normal(size=3)], (
-            lambda x, w, b: tz.sum_reduce(tz.mul(layers.conv1d(x, w, b, 3), layers.conv1d(x, w, b, 3)))
+            lambda x, w, b: tz.sum_reduce(tz.mul(layers.conv1d(x, w, b, 3, lone5), layers.conv1d(x, w, b, 3, lone5)))
         )
         yield "glu", [rng.normal(size=(4, 6))], (
             lambda x: tz.sum_reduce(tz.mul(layers.glu(x), layers.glu(x)))
@@ -144,7 +145,7 @@ def test_criterion_2_gradient_suite(toy_data):
         for kind in ("sum", "max", "logsumexp"):
             cfg = PoolingConfig(kind, 1.3)
             yield f"pool-{kind}", [rng.normal(size=(5, 3))], (
-                lambda x, cfg=cfg: tz.sum_reduce(tz.mul(layers.pool(x, cfg), layers.pool(x, cfg)))
+                lambda x, cfg=cfg: tz.sum_reduce(tz.mul(layers.pool(x, cfg, lone5), layers.pool(x, cfg, lone5)))
             )
         yield "speaker_nll", [rng.normal(size=5)], (lambda l: gm.speaker_nll(l, 2))
         yield "asg_loss", [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))], (
@@ -432,13 +433,13 @@ def test_criterion_9_metric_properties():
         length = int(rng.integers(1, 9))
         tau = float(rng.uniform(0.2, 30.0))
         r = rng.normal(size=(length, 4)) * rng.uniform(0.2, 4.0)
-        s = layers.pool(tz.Tensor(r), PoolingConfig("logsumexp", tau)).data
+        s = layers.pool(tz.Tensor(r), PoolingConfig("logsumexp", tau), layers.Packing((length,))).data[0]
         top = r.max(axis=0)
         assert np.all(s <= top)
         assert np.all(s >= top - math.log(length) / tau - 1e-12)
 
     # lambda ramp endpoints
-    sched = LambdaSchedule("ramp", value=0.5, lambda_max=0.2, gamma=10.0)
+    sched = LambdaSchedule(value=0.5, lambda_max=0.2, gamma=10.0)
     assert lambda_at(sched, 0, 15) == 0.0
     end = lambda_at(sched, 15, 15)
     assert abs(end - 0.19998) <= 5e-6, end

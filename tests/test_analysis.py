@@ -355,13 +355,13 @@ def test_probe_outputs_do_not_depend_on_the_frame_budget(monkeypatch):
 def test_figure2_report_grid_and_chance_row(tmp_path):
     ds = small_dataset(seed=79, utts=10)
     m = oracle_model_for(ds, seed=69)
-    layers_map = {"in": 1, "mid": 2, "out": 3}
+    layers_map = {"in": 1, "mid": 2, "out": None}  # None: the layer is absent
     cells = an.figure2_report(
-        {"baseline": m, "mt": m, "al": None}, layers_map, ds, probe_epochs=1, seed=7
+        {"baseline": m, "mt": m, "al": m}, layers_map, ds, probe_epochs=1, seed=7
     )
     assert len(cells) == 10  # 3 x 3 grid + chance row
     absent = [c for c in cells if c.accuracy is None]
-    assert len(absent) == 3 and all(c.variant == "al" for c in absent)
+    assert len(absent) == 3 and all(c.layer_label == "out" and c.n_eval == 0 for c in absent)
     chance_rows = [c for c in cells if c.variant == "chance"]
     assert len(chance_rows) == 1 and chance_rows[0].accuracy == 0.25
     out = tmp_path / "probe.csv"
@@ -371,7 +371,7 @@ def test_figure2_report_grid_and_chance_row(tmp_path):
     assert len(lines) == 11
     assert lines[-1].startswith("chance,-,0.25,")
     # absent cells keep an empty accuracy field
-    assert any(",," in l for l in lines[1:] if l.startswith("al,"))
+    assert sum(l.split(",")[1:3] == ["out", ""] for l in lines[1:]) == 3
 
 
 def test_figure2_n_eval_is_the_probes_held_out_count(monkeypatch):

@@ -416,7 +416,7 @@ def test_train_al_runs_the_configured_ramp(mini):
          "--mode", "al", "--fork", "mid", "--train.epochs_c=2",
          "--train.lambda_max=0.9", "--train.lambda_gamma=3"]
     ) == 0
-    ramp = tr.LambdaSchedule("ramp", value=0.5, lambda_max=0.9, gamma=3.0)
+    ramp = tr.LambdaSchedule(value=0.5, lambda_max=0.9, gamma=3.0)
     assert lambda_column(out / "al-mid") == [
         ("A", 0.0), ("B", 0.0), ("C", tr.lambda_at(ramp, 1, 2)), ("C", tr.lambda_at(ramp, 2, 2)),
     ]

@@ -17,7 +17,7 @@ def test_conv1d_width1_identity():
     x = Tensor(np.arange(8.0).reshape(4, 2))
     w = Tensor(np.eye(2))
     b = Tensor(np.zeros(2))
-    out = layers.conv1d(x, w, b, kernel_width=1)
+    out = layers.conv1d(x, w, b, kernel_width=1, packing=layers.Packing((4,)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -26,13 +26,13 @@ def test_conv1d_box_kernel_hand_values():
     x = Tensor(np.array([[1.0], [2.0], [3.0]]))
     w = Tensor(np.ones((3, 1)))
     b = Tensor(np.zeros(1))
-    out = layers.conv1d(x, w, b, kernel_width=3)
+    out = layers.conv1d(x, w, b, kernel_width=3, packing=layers.Packing((3,)))
     np.testing.assert_allclose(out.data[:, 0], [3.0, 6.0, 5.0])
 
 
 def test_conv1d_empty_input_errors():
     with pytest.raises(tz.ShapeMismatch):
-        layers.conv1d(Tensor(np.zeros((0, 2))), Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)), 3)
+        layers.conv1d(Tensor(np.zeros((0, 2))), Tensor(np.zeros((6, 3))), Tensor(np.zeros(3)), 3, layers.Packing((1,)))
 
 
 def test_conv1d_gradient_finite_differences():
@@ -42,7 +42,7 @@ def test_conv1d_gradient_finite_differences():
     b = rng.normal(size=3)
 
     def build(xt, wt, bt):
-        out = layers.conv1d(xt, wt, bt, kernel_width=3)
+        out = layers.conv1d(xt, wt, bt, kernel_width=3, packing=layers.Packing((5,)))
         return tz.sum_reduce(tz.mul(out, out))
 
     check_gradients(build, [x, w, b], tol=1e-6)
@@ -125,26 +125,26 @@ def test_weight_norm_gradient():
 def test_dropout_rate_zero_identity_both_modes():
     x = Tensor(np.ones((3, 2)))
     for rngs in ([RngStream(1, "d")], None):  # train mode, eval mode
-        out = layers.dropout(x, 0.0, rngs)
+        out = layers.dropout(x, 0.0, rngs, layers.Packing((3,)))
         np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_eval_identity_at_paper_rate():
     x = Tensor(np.arange(6.0).reshape(3, 2))
-    out = layers.dropout(x, 0.25)
+    out = layers.dropout(x, 0.25, None, layers.Packing((3,)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_train_preserves_mean():
     rng = RngStream(42, "dropout-mc")
     x = Tensor(np.ones(100_000))
-    out = layers.dropout(x, 0.25, [rng])
+    out = layers.dropout(x, 0.25, [rng], layers.Packing((100_000,)))
     assert abs(out.data.mean() - 1.0) < 0.01
 
 
 def test_dropout_invalid_rate():
     with pytest.raises(ValueError):
-        layers.dropout(Tensor(np.ones(2)), 1.0, [RngStream(1, "d")])
+        layers.dropout(Tensor(np.ones(2)), 1.0, [RngStream(1, "d")], layers.Packing((2,)))
 
 
 # --- pooling ---
@@ -153,13 +153,13 @@ def test_dropout_invalid_rate():
 def test_pool_logsumexp_constant_sequence_exact():
     for c in (0.0, 0.3, -2.7):
         r = Tensor(np.full((5, 3), c))
-        out = layers.pool(r, PoolingConfig("logsumexp", tau=1.0))
-        assert np.all(out.data == c)
+        out = layers.pool(r, PoolingConfig("logsumexp", tau=1.0), layers.Packing((5,)))
+        assert out.shape == (1, 3) and np.all(out.data == c)
 
 
 def test_pool_logsumexp_two_zero_frames():
-    out = layers.pool(Tensor(np.zeros((2, 1))), PoolingConfig("logsumexp", tau=1.0))
-    assert out.data[0] == 0.0
+    out = layers.pool(Tensor(np.zeros((2, 1))), PoolingConfig("logsumexp", tau=1.0), layers.Packing((2,)))
+    assert out.data[0, 0] == 0.0
 
 
 def test_pool_logsumexp_high_tau_oracle():
@@ -169,20 +169,21 @@ def test_pool_logsumexp_high_tau_oracle():
 
     mpmath.mp.dps = 60
     ref = float(mpmath.log((mpmath.e**0 + mpmath.e**100) / 2) / 100)
-    out = layers.pool(Tensor(np.array([[0.0], [1.0]])), PoolingConfig("logsumexp", tau=100.0))
-    assert out.data[0] == pytest.approx(ref, abs=1e-12)
-    assert out.data[0] == pytest.approx(1.0 - math.log(2.0) / 100.0, abs=1e-12)
+    out = layers.pool(Tensor(np.array([[0.0], [1.0]])), PoolingConfig("logsumexp", tau=100.0), layers.Packing((2,)))
+    assert out.data[0, 0] == pytest.approx(ref, abs=1e-12)
+    assert out.data[0, 0] == pytest.approx(1.0 - math.log(2.0) / 100.0, abs=1e-12)
 
 
 def test_pool_sum_and_max():
     r = Tensor(np.array([[1.0, -2.0], [3.0, 5.0]]))
-    np.testing.assert_allclose(layers.pool(r, PoolingConfig("sum", 1.0)).data, [4.0, 3.0])
-    np.testing.assert_allclose(layers.pool(r, PoolingConfig("max", 1.0)).data, [3.0, 5.0])
+    lone = layers.Packing((2,))
+    np.testing.assert_allclose(layers.pool(r, PoolingConfig("sum", 1.0), lone).data, [[4.0, 3.0]])
+    np.testing.assert_allclose(layers.pool(r, PoolingConfig("max", 1.0), lone).data, [[3.0, 5.0]])
 
 
 def test_pool_empty_errors():
     with pytest.raises(tz.ShapeMismatch):
-        layers.pool(Tensor(np.zeros((0, 2))), PoolingConfig("sum", 1.0))
+        layers.pool(Tensor(np.zeros((0, 2))), PoolingConfig("sum", 1.0), layers.Packing((1,)))
 
 
 def test_pool_logsumexp_bounds_property():
@@ -191,7 +192,7 @@ def test_pool_logsumexp_bounds_property():
         length = int(rng.integers(1, 8))
         tau = float(rng.uniform(0.1, 20.0))
         r = rng.normal(size=(length, 3)) * rng.uniform(0.1, 5.0)
-        s = layers.pool(Tensor(r), PoolingConfig("logsumexp", tau=tau)).data
+        s = layers.pool(Tensor(r), PoolingConfig("logsumexp", tau=tau), layers.Packing((length,))).data[0]
         top = r.max(axis=0)
         assert np.all(s <= top)
         assert np.all(s >= top - math.log(length) / tau - 1e-12)
@@ -201,7 +202,7 @@ def test_pool_logsumexp_monotone_in_tau():
     rng = np.random.default_rng(16)
     r = rng.normal(size=(6, 2))
     grid = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0]
-    vals = [layers.pool(Tensor(r), PoolingConfig("logsumexp", tau=t)).data for t in grid]
+    vals = [layers.pool(Tensor(r), PoolingConfig("logsumexp", tau=t), layers.Packing((6,))).data for t in grid]
     for lo, hi in zip(vals, vals[1:]):
         assert np.all(hi >= lo - 1e-12)
 
@@ -211,7 +212,7 @@ def test_pool_gradients():
     r = rng.normal(size=(4, 3))
     for cfg in (PoolingConfig("sum", 1.0), PoolingConfig("max", 1.0), PoolingConfig("logsumexp", tau=1.0)):
         def build(t, cfg=cfg):
-            p = layers.pool(t, cfg)
+            p = layers.pool(t, cfg, layers.Packing((4,)))
             return tz.sum_reduce(tz.mul(p, p))
 
         check_gradients(build, [r], tol=1e-6)
@@ -223,13 +224,13 @@ def test_pool_gradients():
 def test_grad_scale_forward_identity_any_factor():
     x = Tensor(np.arange(4.0))
     for factor in (-1.0, 0.0, 0.5, 3.0):
-        np.testing.assert_array_equal(layers.grad_scale(x, factor).data, x.data)
+        np.testing.assert_array_equal(tz.grad_scale(x, factor).data, x.data)
 
 
 def _junction_grad(factor):
     # upstream gradient [1, 2] arrives at the junction
     x = Tensor(np.array([7.0, -3.0]), grad_tracked=True)
-    out = tz.mul(layers.grad_scale(x, factor), Tensor(np.array([1.0, 2.0])))
+    out = tz.mul(tz.grad_scale(x, factor), Tensor(np.array([1.0, 2.0])))
     (g,) = tz.backward(tz.sum_reduce(out), [x])
     return g
 
@@ -253,7 +254,7 @@ def test_grad_scale_unit_factor_bit_equal_to_noop():
         (g,) = tz.backward(loss, [x])
         return g
 
-    g_scaled = grads_through(lambda x: layers.grad_scale(x, 1.0))
+    g_scaled = grads_through(lambda x: tz.grad_scale(x, 1.0))
     g_plain = grads_through(lambda x: x)
     assert np.array_equal(g_scaled, g_plain)
 
@@ -265,13 +266,13 @@ def test_gated_conv_block_shapes_and_gradcheck():
     store = tz.ParamStore()
     blk = layers.GatedConv(store, "l0", "main", 3, 4, 5, 0.0, RngStream(3, "init"))
     x = Tensor(np.random.default_rng(19).normal(size=(6, 3)))
-    out = blk.forward(x)
+    out = blk.forward(x, None, layers.Packing((6,)))
     assert out.shape == (6, 4)
 
     xv = np.random.default_rng(20).normal(size=(4, 3))
 
     def build(xt):
-        h = blk.forward(xt)
+        h = blk.forward(xt, None, layers.Packing((4,)))
         return tz.sum_reduce(tz.mul(h, h))
 
     check_gradients(build, [xv], tol=1e-6)
@@ -309,7 +310,7 @@ def test_gated_conv_init_gain_independent_of_dropout():
 
     def gain(rate):
         blk = layers.GatedConv(tz.ParamStore(), "l0", "main", 16, 16, 5, rate, RngStream(5, "init"))
-        return blk.forward(x, [RngStream(6, "drop")]).data.std() / x.data.std()
+        return blk.forward(x, [RngStream(6, "drop")], layers.Packing((400,))).data.std() / x.data.std()
 
     g0 = gain(0.0)
     for rate in (0.25, 0.5):
@@ -329,12 +330,12 @@ def test_packed_conv_and_pool_equal_per_utterance():
     w, b = Tensor(rng.normal(size=(10, 3))), Tensor(rng.normal(size=3))
     out = layers.conv1d(Tensor(x), w, b, 5, packing).data
     for got, block in zip(packing.split(out), packing.split(x)):
-        assert np.array_equal(got, layers.conv1d(Tensor(block), w, b, 5).data)
+        assert np.array_equal(got, layers.conv1d(Tensor(block), w, b, 5, layers.Packing((len(block),))).data)
     for kind in ("sum", "max", "logsumexp"):
         cfg = PoolingConfig(kind, 1.3)
         pooled = layers.pool(Tensor(x), cfg, packing).data
         for got, block in zip(pooled, packing.split(x)):
-            assert np.array_equal(got, layers.pool(Tensor(block), cfg).data)
+            assert np.array_equal(got[None], layers.pool(Tensor(block), cfg, layers.Packing((len(block),))).data)
 
 
 def test_packed_conv_and_pool_gradients():
@@ -356,13 +357,13 @@ def test_packed_dropout_masks_are_the_per_utterance_draws():
     x = Tensor(np.ones((packing.rows, 4)))
     # one stream per utterance, as in training
     out = layers.dropout(x, 0.25, [RngStream(8, f"u{i}") for i in range(len(LENGTHS))], packing)
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [RngStream(8, f"u{i}")]).data
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [RngStream(8, f"u{i}")], layers.Packing((n,))).data
              for i, n in enumerate(LENGTHS)]
     assert np.array_equal(out.data, np.concatenate(alone))
     # one stream shared in utterance order, as in probe training
     out = layers.dropout(x, 0.25, [RngStream(9, "p")] * len(LENGTHS), packing)
     shared = RngStream(9, "p")
-    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [shared]).data for n in LENGTHS]
+    alone = [layers.dropout(Tensor(np.ones((n, 4))), 0.25, [shared], layers.Packing((n,))).data for n in LENGTHS]
     assert np.array_equal(out.data, np.concatenate(alone))
 
 
@@ -396,9 +397,9 @@ def ref_grid(packing, repeat_first=False):
     return idx
 
 
-def ref_conv1d(x, weight, bias, kernel_width, packing=None):
+def ref_conv1d(x, weight, bias, kernel_width, packing):
     t_len, c_in = x.shape
-    taps = (packing or layers.Packing((t_len,))).taps(kernel_width)
+    taps = packing.taps(kernel_width)
     unfolded = tz.reshape(ref_take_rows(x, taps), (t_len, kernel_width * c_in))
     return tz.add(tz.matmul(unfolded, weight), bias)
 
@@ -413,8 +414,7 @@ def ref_weight_norm(v, g):
     return tz.mul(v, tz.mul(g, tz.pow_scalar(sumsq, -0.5)))
 
 
-def ref_pool(r, cfg, packing=None):
-    seg = packing or layers.Packing((r.shape[0],))
+def ref_pool(r, cfg, seg):
     if cfg.kind == "sum":
         out = tz.sum_reduce(ref_take_rows(r, ref_grid(seg)), axis=1)
     elif cfg.kind == "max":
@@ -425,7 +425,7 @@ def ref_pool(r, cfg, packing=None):
         total = tz.sum_reduce(ref_take_rows(tz.exp(z), ref_grid(seg)), axis=1)
         mean_exp = tz.mul(total, Tensor(1.0 / seg.lengths[:, None]))
         out = tz.add(m, tz.smul(tz.log(mean_exp), 1.0 / cfg.tau))
-    return out if packing is not None else tz.reshape(out, (r.shape[1],))
+    return out
 
 
 FUSED = (layers.conv1d, layers.glu, layers.weight_norm, layers.pool)
@@ -442,7 +442,7 @@ def run_block(fns, arrays, cfg, packing, x_tracked=True):
     h = conv1d(leaves[0], w, leaves[3], 3, packing)
     y = glu(h)
     p = pool(y, cfg, packing)
-    loss = tz.sum_reduce(tz.mul(p, Tensor(weights[: p.shape[0]] if p.data.ndim == 2 else weights[0])))
+    loss = tz.sum_reduce(tz.mul(p, Tensor(weights[: p.shape[0]])))
     return [w.data, h.data, y.data, p.data], tz.backward(loss, leaves)
 
 
@@ -456,8 +456,8 @@ def block_arrays(rows, seed):
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "lone"])
 @pytest.mark.parametrize("x_tracked", [True, False], ids=["tracked-input", "untracked-input"])
 def test_fused_layers_equal_tape_composition_bitwise(kind, packed, x_tracked):
-    packing = layers.Packing(LENGTHS) if packed else None
-    arrays = block_arrays(sum(LENGTHS) if packed else 7, seed=41)
+    packing = layers.Packing(LENGTHS if packed else (7,))
+    arrays = block_arrays(packing.rows, seed=41)
     cfg = PoolingConfig(kind, 1.7)
     got_values, got_grads = run_block(FUSED, arrays, cfg, packing, x_tracked)
     ref_values, ref_grads = run_block(REFERENCE, arrays, cfg, packing, x_tracked)
@@ -496,6 +496,7 @@ def test_packed_one_channel_sum_pool_equals_per_utterance():
     # in the same order alone and in a batch
     packing = layers.Packing((37, 5, 130))
     r = np.random.default_rng(43).normal(size=(packing.rows, 1))
-    pooled = layers.pool(Tensor(r), PoolingConfig("sum", 1.0), packing).data
+    cfg = PoolingConfig("sum", 1.0)
+    pooled = layers.pool(Tensor(r), cfg, packing).data
     for got, block in zip(pooled, packing.split(r)):
-        assert np.array_equal(got, layers.pool(Tensor(block), PoolingConfig("sum", 1.0)).data)
+        assert np.array_equal(got[None], layers.pool(Tensor(block), cfg, layers.Packing((len(block),))).data)

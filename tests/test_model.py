@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradflip import asg, model as gm, tensor as tz
-from gradflip.layers import PoolingConfig
+from gradflip.layers import Packing, PoolingConfig
 from gradflip.model import ModelConfig, build_model
 from gradflip.rng import RngStream
 from helpers import grad_error
@@ -218,7 +218,7 @@ def test_representation_at_fork_matches_branch_input():
     rep = gm.extract_representation(m, x, m.cfg.fork_layer)
     xt = tz.Tensor(x)
     with tz.no_grad():
-        direct = gm._run_stack(m, xt, m.cfg.fork_layer, None).data
+        direct = gm._run_stack(m, xt, Packing((len(x),)), m.cfg.fork_layer, None).data
     assert np.array_equal(rep, direct)
 
 

@@ -54,7 +54,7 @@ def train_cfg(mode, **changes):
 
 # --- lambda schedule ---
 
-RAMP = LambdaSchedule("ramp", value=0.5, lambda_max=0.2, gamma=10.0)
+RAMP = LambdaSchedule(value=0.5, lambda_max=0.2, gamma=10.0)
 
 
 def test_ramp_starts_at_zero():
@@ -68,11 +68,6 @@ def test_ramp_endpoint_value():
     assert lam == pytest.approx(0.199982, abs=1e-6)
 
 
-def test_static_schedule_constant():
-    s = LambdaSchedule("static", value=0.5, lambda_max=0.2, gamma=10.0)
-    assert all(lambda_at(s, e, 15) == 0.5 for e in range(16))
-
-
 def test_ramp_monotone():
     s = RAMP
     vals = [lambda_at(s, e, 20) for e in range(21)]
@@ -84,17 +79,28 @@ def test_schedule_rejects_a_negative_ramp():
     # a negative ceiling or steepness would give al a multi-task junction
     for lambda_max, gamma in ((-0.2, 10.0), (0.2, -1.0)):
         with pytest.raises(ValueError, match="must be >= 0"):
-            LambdaSchedule("ramp", 0.5, lambda_max, gamma)
-    assert LambdaSchedule("static", -0.5, 0.0, 0.0).value == -0.5
+            LambdaSchedule(0.5, lambda_max, gamma)
+    assert LambdaSchedule(-0.5, 0.0, 0.0).value == -0.5
 
 
-def test_default_schedules_by_mode():
-    # the mode picks the schedule: static lambda_value for mt, a ramp to
-    # lambda_max for al and semi, all taken from the configured values
-    cfg = {**cf.SCHEMA, "train.lambda_value": 0.7, "train.lambda_max": 0.9, "train.lambda_gamma": 3.0}
-    assert cf.train_config({**cfg, "train.mode": "mt"}).schedule() == LambdaSchedule("static", 0.7, 0.9, 3.0)
-    for mode in ("al", "semi"):
-        assert cf.train_config({**cfg, "train.mode": mode}).schedule() == LambdaSchedule("ramp", 0.7, 0.9, 3.0)
+@pytest.mark.parametrize("lambda_max,gamma", [(0.2, 10.0), (0.9, 3.0), (0.0, 0.0)])
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_epoch_plan_picks_lambda_by_mode(mode, lambda_max, gamma):
+    # the mode alone picks phase C's lambda: mt a static lambda_value, sign
+    # included, al and semi the ramp, baseline 0, whatever the ramp's settings
+    cfg = cf.train_config({
+        **cf.SCHEMA, "train.mode": mode, "train.epochs_c": 4,
+        "train.lambda_value": -0.3, "train.lambda_max": lambda_max, "train.lambda_gamma": gamma,
+    })
+    c_lams = [lam for phase, lam, _ in tr.epoch_plan(cfg) if phase == "C"]
+    if mode == "mt":
+        assert c_lams == [-0.3] * 4
+        assert tr._junction_factor(mode, c_lams[0]) == -0.3  # a static adversarial junction
+    elif mode == "baseline":
+        assert c_lams == [0.0] * 4
+    else:
+        assert c_lams == [lambda_at(cfg.lam, e, 4) for e in (1, 2, 3, 4)]
+        assert all(tr._junction_factor(mode, lam) <= 0.0 for lam in c_lams)
 
 
 def test_config_records_have_no_defaults():
@@ -499,14 +505,12 @@ PHASED = [BOTH, BOTH, SPEAKER, BOTH, BOTH, BOTH]
 def test_epoch_plan_rows(mode, groups):
     cfg = train_cfg(mode, epochs_a=2, epochs_b=1, epochs_c=3)
     plan = tr.epoch_plan(cfg)
-    c_lams = [0.0] * 3 if mode == "baseline" else [lambda_at(cfg.lam, e, 3) for e in (1, 2, 3)]
+    c_lams = {"baseline": [0.0] * 3, "mt": [cfg.lam.value] * 3}.get(mode, [lambda_at(cfg.lam, e, 3) for e in (1, 2, 3)])
     assert [phase for phase, _, _ in plan] == ["A", "A", "B", "C", "C", "C"]
     assert [lam for _, lam, _ in plan] == [0.0] * 3 + c_lams
     assert [g for _, _, g in plan] == groups
-    # the preset: a static lambda for mt, a rising ramp for al and semi
-    if mode == "mt":
-        assert c_lams == [cfg.lam.value] * 3
-    elif mode != "baseline":
+    # the preset: a rising ramp for al and semi
+    if mode in ("al", "semi"):
         assert 0.0 < c_lams[0] < c_lams[1] < c_lams[2] < cfg.lam.lambda_max
 
 
